@@ -44,4 +44,10 @@ std::string describe_stmt(const sem::LoweredProgram& prog, std::uint32_t stmt_id
   return "stmt#" + std::to_string(stmt_id);
 }
 
+bool is_sync_stmt(const sem::LoweredProgram& prog, std::uint32_t stmt_id) {
+  const lang::Stmt* s = prog.stmt(stmt_id);
+  return s != nullptr &&
+         (s->kind() == lang::StmtKind::Lock || s->kind() == lang::StmtKind::Unlock);
+}
+
 }  // namespace copar::analysis

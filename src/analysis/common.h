@@ -28,4 +28,9 @@ std::string describe_loc(const sem::LoweredProgram& prog, const absem::AbsLoc& l
 /// with the source line.
 std::string describe_stmt(const sem::LoweredProgram& prog, std::uint32_t stmt_id);
 
+/// True when the statement is pure synchronization (lock/unlock): a
+/// conflict between two such statements is contention on the lock cell,
+/// not a data race.
+bool is_sync_stmt(const sem::LoweredProgram& prog, std::uint32_t stmt_id);
+
 }  // namespace copar::analysis

@@ -13,14 +13,6 @@ namespace copar::analysis {
 
 namespace {
 
-/// Contention on a lock cell between two lock/unlock actions is
-/// synchronization, not a data race (same rule as the check battery).
-bool is_sync_stmt(const sem::LoweredProgram& prog, std::uint32_t stmt_id) {
-  const lang::Stmt* s = prog.stmt(stmt_id);
-  return s != nullptr &&
-         (s->kind() == lang::StmtKind::Lock || s->kind() == lang::StmtKind::Unlock);
-}
-
 struct Agg {
   bool parallel = false;    // some live occurrence pair may run concurrently
   bool unprotected = false; // ... with disjoint must-locksets
@@ -132,6 +124,21 @@ std::string CandidateReport::report(const sem::LoweredProgram& prog) const {
        << describe_stmt(prog, s.stmt2) << " (lock " << s.lock << ")\n";
   }
   return os.str();
+}
+
+absem::TmodOptions tmod_options(const StaticParallelism& par, const LockSets& locks,
+                                const Mhp& mhp) {
+  absem::TmodOptions topts;
+  if (locks.pristine()) {
+    // Tainted lock cells cannot prove mutual exclusion; leaving the hook
+    // null (mask 0 everywhere) keeps the pruning sound.
+    topts.must_locks = [&locks](std::uint32_t p, std::uint32_t pc) -> std::uint64_t {
+      return locks.live(p, pc) ? locks.held(p, pc) : 0;
+    };
+  }
+  topts.self_parallel = [&par](std::uint32_t p) { return par.parallel_procs(p, p); };
+  topts.parallel = [&mhp](std::uint32_t s, std::uint32_t t) { return mhp.parallel(s, t); };
+  return topts;
 }
 
 }  // namespace copar::analysis

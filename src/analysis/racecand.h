@@ -21,7 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "src/absem/tmod.h"
 #include "src/analysis/lockset.h"
+#include "src/analysis/mhp.h"
 #include "src/analysis/staticmhp.h"
 #include "src/explore/staticinfo.h"
 #include "src/sem/lower.h"
@@ -59,5 +61,13 @@ struct CandidateReport {
 CandidateReport race_candidates(const sem::LoweredProgram& prog,
                                 const explore::StaticInfo& info,
                                 const StaticParallelism& par, const LockSets& locks);
+
+/// The static facts that prune the thread-modular engine
+/// (absem::tmod_analyze): must-locksets prune interference and race pairs
+/// on mutual exclusion, and `mhp` (== par.stmt_mhp()) prunes pairs no
+/// syntactic interleaving can co-schedule. The hooks refer to the three
+/// arguments, which must outlive the returned options.
+absem::TmodOptions tmod_options(const StaticParallelism& par, const LockSets& locks,
+                                const Mhp& mhp);
 
 }  // namespace copar::analysis

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -31,9 +31,6 @@
 namespace copar::check {
 
 namespace {
-
-constexpr std::string_view kSuppressHint =
-    "suppress with `// copar-ignore(<code>)` on or above the line";
 
 constexpr std::array<RuleInfo, 18> kCatalog = {{
     {"arity-mismatch", Severity::Error, "call with the wrong number of arguments",
@@ -94,14 +91,6 @@ std::string_view fault_phrase(sem::Fault f) {
     case sem::Fault::NegativeAlloc: return "allocation with a negative size";
   }
   return "runtime fault";
-}
-
-/// True when the statement is pure synchronization: a race between two
-/// lock/unlock actions is contention on the lock cell, not a data race.
-bool is_sync_stmt(const sem::LoweredProgram& prog, std::uint32_t stmt_id) {
-  const lang::Stmt* s = prog.stmt(stmt_id);
-  return s != nullptr &&
-         (s->kind() == lang::StmtKind::Lock || s->kind() == lang::StmtKind::Unlock);
 }
 
 std::vector<DiagNote> witness_notes(const sem::LoweredProgram& prog,
@@ -169,12 +158,44 @@ std::string_view tier_name(Tier t) {
 
 namespace {
 
-/// The co-enabledness predicate behind race witnesses: a reachable state
-/// where both statements are simultaneously enabled (for a self-race, two
-/// enabled instances of the statement).
-std::function<bool(const sem::Configuration&)> race_reach_predicate(std::uint32_t s1,
-                                                                    std::uint32_t s2) {
-  return [s1, s2](const sem::Configuration& cfg) {
+/// The may-facts an alarm source establishes over every execution: the
+/// interval abstract pass (auto/static/explore) or the thread-modular
+/// engine (tmod), whose results carry these fields with identical types.
+struct MayFacts {
+  /// (stmt id, expr id, sem::Fault) may-fault triples.
+  std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint8_t>> may_faults;
+  std::set<std::uint32_t> may_fail_asserts;
+  /// (stmt id, expr id, loc) reads that may observe the implicit zero.
+  std::set<std::tuple<std::uint32_t, std::uint32_t, absem::AbsLoc>> uninit_reads;
+  std::set<std::uint32_t> reached_stmts;
+  /// The source stopped before its fixpoint: reachability is incomplete.
+  bool truncated = false;
+};
+
+/// Moves the may-facts out of an AbsResult or a TmodResult.
+template <class Result>
+MayFacts take_may_facts(Result& r) {
+  return {std::move(r.may_faults), std::move(r.may_fail_asserts), std::move(r.uninit_reads),
+          std::move(r.reached_stmts), r.truncated};
+}
+
+/// The static facts: location classes, syntactic parallelism, and locksets
+/// (docs/TIERED_CHECKING.md). auto/static derive the race candidate list
+/// from them; tmod prunes its interference with them.
+struct StaticFacts {
+  explore::StaticInfo info;
+  analysis::StaticParallelism par;
+  analysis::LockSets locks;
+
+  explicit StaticFacts(const sem::LoweredProgram& prog)
+      : info(prog), par(prog, info), locks(prog, info) {}
+};
+
+/// A search for a reachable state where both statements of `c` are
+/// simultaneously enabled (for a self-race, two enabled instances).
+explore::WitnessQuery race_query(const analysis::RaceCandidate& c) {
+  explore::WitnessQuery q;
+  q.reach_predicate = [s1 = c.stmt1, s2 = c.stmt2](const sem::Configuration& cfg) {
     int n1 = 0;
     int n2 = 0;
     for (const sem::ActionInfo& info : sem::all_action_infos(cfg)) {
@@ -184,304 +205,284 @@ std::function<bool(const sem::Configuration&)> race_reach_predicate(std::uint32_
     }
     return s1 == s2 ? n1 >= 2 : (n1 >= 1 && n2 >= 1);
   };
+  return q;
 }
 
-/// The static race tier: location classes, syntactic parallelism, locksets,
-/// and the pruned candidate list (docs/TIERED_CHECKING.md).
-struct StaticTier {
-  explore::StaticInfo info;
-  analysis::StaticParallelism par;
-  analysis::LockSets locks;
-  analysis::CandidateReport cands;
-
-  explicit StaticTier(const sem::LoweredProgram& prog)
-      : info(prog),
-        par(prog, info),
-        locks(prog, info),
-        cands(analysis::race_candidates(prog, info, par, locks)) {}
+/// The race confirmer's answer: a witness confirms the race; without one,
+/// a search that exhausted the reachable space refutes it, and one cut by
+/// its budget leaves it undecided.
+struct RaceVerdict {
+  std::optional<explore::Witness> witness;
+  bool refuted = false;
 };
 
-/// The thread-modular tier: the rely/guarantee interference engine
-/// (src/absem/tmod) is the sole analysis — no interleaving enumeration at
-/// all, so this path answers on programs whose configuration space can
-/// never be explored. Its sound may-alarms come with a thread-modular
-/// provenance note; unless --no-witness was given, a directed witness
-/// search confirms or refutes each race candidate exactly like the auto
-/// tier (those searches are the only exploration this tier ever does).
-CheckSummary run_tmod_checks(const CompiledProgram& cp, DiagnosticEngine& engine,
-                             const CheckOptions& opts) {
-  const sem::LoweredProgram& prog = *cp.lowered;
-  CheckSummary sum;
-  sum.tier = Tier::Tmod;
+/// The race confirmer: a directed search for `c` under `budget`
+/// configurations. Tallies the verdict and the search effort into `stats`.
+RaceVerdict confirm_race(const sem::LoweredProgram& prog, const analysis::RaceCandidate& c,
+                         std::uint64_t budget, TierStats& stats) {
+  explore::WitnessQuery q = race_query(c);
+  q.explore.max_configs = budget;
+  explore::WitnessStats ws;
+  RaceVerdict v{explore::find_witness(prog, q, &ws)};
+  v.refuted = !v.witness.has_value() && !ws.truncated;
+  stats.configs_explored += ws.configs;
+  ++(v.witness.has_value() ? stats.confirmed
+                           : (v.refuted ? stats.refuted : stats.budget_exhausted));
+  return v;
+}
 
-  // Static facts feed the engine: must-locksets prune interference and race
-  // pairs on mutual exclusion, static MHP prunes pairs no syntactic
-  // interleaving can co-schedule.
-  const StaticTier st(prog);
-  const analysis::Mhp mhp = st.par.stmt_mhp();
-
-  absem::TmodOptions topts;
-  if (st.locks.pristine()) {
-    // Tainted lock cells cannot prove mutual exclusion; leaving the hook
-    // null (mask 0 everywhere) keeps the pruning sound.
-    topts.must_locks = [&st](std::uint32_t p, std::uint32_t pc) -> std::uint64_t {
-      return st.locks.live(p, pc) ? st.locks.held(p, pc) : 0;
-    };
+/// The explore tier's race list: the exact co-enabled conflicting pairs of
+/// a complete exploration, else the sound flat-domain anomaly candidates.
+/// Lock contention is dropped; each anomaly is one conflict kind.
+std::vector<analysis::RaceCandidate> explore_races(const sem::LoweredProgram& prog,
+                                                   const explore::ExploreResult& conc,
+                                                   bool exhaustive,
+                                                   std::uint64_t abs_max_states) {
+  analysis::Anomalies anomalies;
+  if (exhaustive) {
+    anomalies = analysis::anomalies_from(conc);
+  } else {
+    absem::AbsOptions fopts;
+    fopts.max_states = abs_max_states;
+    anomalies =
+        analysis::anomalies_from(absem::AbsExplorer<absdom::FlatInt>(prog, fopts).run());
   }
-  topts.self_parallel = [&st](std::uint32_t p) { return st.par.parallel_procs(p, p); };
-  topts.parallel = [&mhp](std::uint32_t s, std::uint32_t t) { return mhp.parallel(s, t); };
-
-  const absem::TmodResult<absdom::Interval> tm =
-      absem::tmod_analyze<absdom::Interval>(prog, topts);
-
-  sum.tmod.ran = true;
-  sum.tmod.threads = tm.threads;
-  sum.tmod.rounds = tm.rounds;
-  sum.tmod.truncated = tm.truncated;
-  sum.tmod.interference_facts = tm.interference_facts;
-  sum.stats.pairs_total = tm.races.pairs_total;
-  sum.stats.pruned_mhp = tm.races.pruned_mhp;
-  sum.stats.pruned_lockset = tm.races.pruned_lockset;
-  sum.stats.candidates = tm.races.races.size();
-
-  const DiagNote provenance{
-      {}, "established by the thread-modular interference analysis "
-          "(rely/guarantee, no interleaving enumeration); run --tier=auto to "
-          "confirm or refute concretely"};
-
-  // --- may-faults ---------------------------------------------------------
-  {
-    std::set<std::pair<std::uint32_t, std::uint8_t>> seen;
-    for (const auto& [stmt, expr, fault_raw] : tm.may_faults) {
-      if (!seen.insert({stmt, fault_raw}).second) continue;
-      ++sum.tmod.alarms;
-      const auto fault = static_cast<sem::Fault>(fault_raw);
-      Diagnostic d =
-          make_finding(fault_code(fault), Severity::Warning, prog.stmt_span(stmt),
-                       "possible " + std::string(fault_phrase(fault)) + " in " +
-                           analysis::describe_stmt(prog, stmt));
-      d.notes.push_back(provenance);
-      engine.report(std::move(d));
+  std::vector<analysis::RaceCandidate> races;
+  for (const analysis::Anomaly& a : anomalies.all) {
+    if (analysis::is_sync_stmt(prog, a.stmt1) && analysis::is_sync_stmt(prog, a.stmt2)) {
+      continue;
     }
+    races.push_back({a.stmt1, a.stmt2, a.write_write, !a.write_write});
   }
-  if (st.locks.pristine() && !st.locks.unlocks_safe()) {
-    // The engine does not model lock ownership; the lockset analysis flags
-    // releases that may not own the lock (same scan as the static tier).
-    for (const sem::Proc& p : prog.procs()) {
-      for (std::uint32_t pc = 0; pc < p.code.size(); ++pc) {
-        const sem::Instr& i = p.code[pc];
-        if (i.op != sem::Op::Unlock || !st.locks.live(p.id, pc)) continue;
-        const auto slot = sem::lock_global_slot(prog, *i.lhs);
-        const auto bit = slot ? st.locks.bit_of_slot(*slot) : std::nullopt;
-        if (bit && (st.locks.held(p.id, pc) >> *bit & 1) != 0) continue;
-        const SourceSpan span = i.stmt != nullptr ? prog.stmt_span(i.stmt->id()) : SourceSpan{};
-        engine.report(make_finding("unlock-not-held", Severity::Warning, span,
-                                   "possible unlock of a lock that is not held (not in the "
-                                   "must-held lockset)"));
-      }
-    }
-  }
+  return races;
+}
 
-  // --- data races ---------------------------------------------------------
-  for (const absem::TmodRace& c : tm.races.races) {
-    ++sum.tmod.alarms;
-    std::optional<explore::Witness> w;
-    if (opts.witnesses) {
-      // Directed per-candidate search, budgeted per pair (auto-tier rules):
-      // a co-enabled state confirms, an exhausted search refutes, a
-      // truncated one downgrades to "possible".
-      explore::WitnessQuery q;
-      q.reach_predicate = race_reach_predicate(c.stmt1, c.stmt2);
-      q.explore.max_configs = opts.pair_budget;
-      explore::WitnessStats ws;
-      w = explore::find_witness(prog, q, &ws);
-      sum.stats.configs_explored += ws.configs;
-      if (!w.has_value() && !ws.truncated) {
-        ++sum.stats.refuted;
-        continue;
-      }
-      if (w.has_value()) {
-        ++sum.stats.confirmed;
-      } else {
-        ++sum.stats.budget_exhausted;
-      }
-    }
-    for (const bool ww : {true, false}) {
-      if (ww ? !c.write_write : !c.write_read) continue;
-      std::ostringstream msg;
-      if (!w.has_value()) msg << "possible ";
-      msg << (ww ? "write/write" : "write/read") << " data race between "
-          << analysis::describe_stmt(prog, c.stmt1) << " and "
-          << analysis::describe_stmt(prog, c.stmt2);
-      Diagnostic d =
-          make_finding("race", Severity::Error, prog.stmt_span(c.stmt1), msg.str());
-      d.related_spans.push_back(prog.stmt_span(c.stmt2));
-      if (w.has_value()) {
-        d.notes = witness_notes(prog, *w);
-        d.notes.push_back(DiagNote{
-            prog.stmt_span(c.stmt2), "here " + analysis::describe_stmt(prog, c.stmt1) +
-                                         " and " + analysis::describe_stmt(prog, c.stmt2) +
-                                         " are both enabled; either may fire first"});
-      } else if (opts.witnesses) {
-        d.notes.push_back(DiagNote{
-            {}, "directed search exhausted its --pair-budget of " +
-                    std::to_string(opts.pair_budget) +
-                    " configurations without confirming or refuting; raise it to decide"});
-      } else {
-        d.notes.push_back(DiagNote{{}, "thread-modular candidate: re-run without "
-                                       "--no-witness (or with --tier=auto) to confirm or "
-                                       "refute with a directed search"});
-      }
-      engine.report(std::move(d));
-    }
-  }
+// --- emitters: one per finding code ----------------------------------------
 
-  // --- deadlock -----------------------------------------------------------
-  if (!st.locks.deadlock_free()) {
-    // Same static scan as --tier=static: anchor at the first blocking point
-    // that may hold a lock (or the first lock statement when cells are
-    // tainted).
-    SourceSpan span;
-    for (const sem::Proc& p : prog.procs()) {
-      for (std::uint32_t pc = 0; pc < p.code.size() && !span.valid(); ++pc) {
-        const sem::Instr& i = p.code[pc];
-        if (i.stmt == nullptr || !st.locks.live(p.id, pc)) continue;
-        const bool blocks = i.op == sem::Op::Lock || i.op == sem::Op::Join;
-        if (!blocks) continue;
-        if (!st.locks.pristine() || st.locks.may_held(p.id, pc) != 0 ||
-            st.locks.may_hold_unknown(p.id, pc)) {
-          span = prog.stmt_span(i.stmt->id());
-        }
-      }
+/// Reports each race kind of `c`; "possible" when undecided. The note is
+/// the witness interleaving co-enabling the pair when given, else `note`.
+void emit_race(const sem::LoweredProgram& prog, DiagnosticEngine& engine,
+               const analysis::RaceCandidate& c, bool possible, const explore::Witness* w,
+               const std::optional<DiagNote>& note) {
+  for (const bool ww : {true, false}) {
+    if (ww ? !c.write_write : !c.write_read) continue;
+    std::ostringstream msg;
+    if (possible) msg << "possible ";
+    msg << (ww ? "write/write" : "write/read") << " data race between "
+        << analysis::describe_stmt(prog, c.stmt1) << " and "
+        << analysis::describe_stmt(prog, c.stmt2);
+    Diagnostic d = make_finding("race", Severity::Error, prog.stmt_span(c.stmt1), msg.str());
+    d.related_spans.push_back(prog.stmt_span(c.stmt2));
+    if (w != nullptr) {
+      d.notes = witness_notes(prog, *w);
+      d.notes.push_back(DiagNote{
+          prog.stmt_span(c.stmt2), "here " + analysis::describe_stmt(prog, c.stmt1) + " and " +
+                                       analysis::describe_stmt(prog, c.stmt2) +
+                                       " are both enabled; either may fire first"});
+    } else if (note.has_value()) {
+      d.notes.push_back(*note);
     }
-    engine.report(make_finding("deadlock", Severity::Warning, span,
-                               "possible deadlock: a process may block while holding a "
-                               "lock (thread-modular tier; run --tier=auto to confirm)"));
-  }
-
-  // --- assertions ---------------------------------------------------------
-  for (const std::uint32_t stmt : tm.may_fail_asserts) {
-    ++sum.tmod.alarms;
-    Diagnostic d = make_finding("assert-may-fail", Severity::Warning, prog.stmt_span(stmt),
-                                "assertion may fail: " +
-                                    analysis::describe_stmt(prog, stmt));
-    d.notes.push_back(provenance);
     engine.report(std::move(d));
   }
+}
 
-  // --- uninitialized reads ------------------------------------------------
-  {
-    std::set<std::pair<std::uint32_t, std::string>> seen;
-    for (const auto& [stmt, expr, loc] : tm.uninit_reads) {
-      std::string what = analysis::describe_loc(prog, loc);
-      if (!seen.insert({stmt, what}).second) continue;
-      ++sum.tmod.alarms;
-      engine.report(make_finding("uninit-read", Severity::Warning, prog.stmt_span(stmt),
-                                 "read of " + what + " before any write (observes the "
-                                 "implicit 0) in " + analysis::describe_stmt(prog, stmt)));
+/// Abstract may-faults no concrete fault confirmed, one warning per
+/// (statement, fault); returns how many.
+std::uint64_t emit_may_faults(const sem::LoweredProgram& prog, DiagnosticEngine& engine,
+                              const MayFacts& facts,
+                              const std::set<std::pair<std::uint32_t, std::uint8_t>>& concrete,
+                              const std::optional<DiagNote>& provenance) {
+  std::set<std::pair<std::uint32_t, std::uint8_t>> seen;
+  for (const auto& [stmt, expr, fault_raw] : facts.may_faults) {
+    if (concrete.contains({stmt, fault_raw})) continue;
+    if (!seen.insert({stmt, fault_raw}).second) continue;
+    const auto fault = static_cast<sem::Fault>(fault_raw);
+    Diagnostic d = make_finding(fault_code(fault), Severity::Warning, prog.stmt_span(stmt),
+                                "possible " + std::string(fault_phrase(fault)) + " in " +
+                                    analysis::describe_stmt(prog, stmt));
+    if (provenance.has_value()) d.notes.push_back(*provenance);
+    engine.report(std::move(d));
+  }
+  return seen.size();
+}
+
+/// Releases that may not own the lock (not in the must-held lockset). The
+/// abstract domains do not model lock ownership; the lockset analysis does.
+void emit_unlock_not_held(const sem::LoweredProgram& prog, DiagnosticEngine& engine,
+                          const analysis::LockSets& locks) {
+  if (!locks.pristine() || locks.unlocks_safe()) return;
+  for (const sem::Proc& p : prog.procs()) {
+    for (std::uint32_t pc = 0; pc < p.code.size(); ++pc) {
+      const sem::Instr& i = p.code[pc];
+      if (i.op != sem::Op::Unlock || !locks.live(p.id, pc)) continue;
+      const auto slot = sem::lock_global_slot(prog, *i.lhs);
+      const auto bit = slot ? locks.bit_of_slot(*slot) : std::nullopt;
+      if (bit && (locks.held(p.id, pc) >> *bit & 1) != 0) continue;
+      const SourceSpan span = i.stmt != nullptr ? prog.stmt_span(i.stmt->id()) : SourceSpan{};
+      engine.report(make_finding("unlock-not-held", Severity::Warning, span,
+                                 "possible unlock of a lock that is not held (not in the "
+                                 "must-held lockset)"));
     }
   }
+}
 
-  // --- unreachable statements ---------------------------------------------
-  if (!tm.truncated) {
-    std::set<std::uint32_t> lowered_stmts;
-    for (const sem::Proc& p : prog.procs()) {
-      for (const sem::Instr& instr : p.code) {
-        if (instr.stmt != nullptr) lowered_stmts.insert(instr.stmt->id());
+/// A possible deadlock no exploration confirmed, anchored at the first
+/// blocking point that may hold a lock (or the first lock statement when
+/// cells are tainted). `tier` names the tier in the message.
+void emit_static_deadlock(const sem::LoweredProgram& prog, DiagnosticEngine& engine,
+                          const analysis::LockSets& locks, std::string_view tier) {
+  if (locks.deadlock_free()) return;
+  SourceSpan span;
+  for (const sem::Proc& p : prog.procs()) {
+    for (std::uint32_t pc = 0; pc < p.code.size() && !span.valid(); ++pc) {
+      const sem::Instr& i = p.code[pc];
+      if (i.stmt == nullptr || !locks.live(p.id, pc)) continue;
+      const bool blocks = i.op == sem::Op::Lock || i.op == sem::Op::Join;
+      if (!blocks) continue;
+      if (!locks.pristine() || locks.may_held(p.id, pc) != 0 ||
+          locks.may_hold_unknown(p.id, pc)) {
+        span = prog.stmt_span(i.stmt->id());
       }
     }
-    for (const std::uint32_t stmt : lowered_stmts) {
-      if (tm.reached_stmts.contains(stmt)) continue;
-      engine.report(make_finding("unreachable", Severity::Warning, prog.stmt_span(stmt),
-                                 "statement is unreachable: " +
-                                     analysis::describe_stmt(prog, stmt)));
+  }
+  engine.report(make_finding("deadlock", Severity::Warning, span,
+                             "possible deadlock: a process may block while holding a lock (" +
+                                 std::string(tier) + " tier; run --tier=auto to confirm)"));
+}
+
+/// Abstract may-fail assertions no concrete violation confirmed; returns
+/// how many.
+std::uint64_t emit_may_fail_asserts(const sem::LoweredProgram& prog, DiagnosticEngine& engine,
+                                    const MayFacts& facts,
+                                    const std::set<std::uint32_t>& concrete,
+                                    const std::optional<DiagNote>& provenance) {
+  std::uint64_t n = 0;
+  for (const std::uint32_t stmt : facts.may_fail_asserts) {
+    if (concrete.contains(stmt)) continue;
+    ++n;
+    Diagnostic d = make_finding("assert-may-fail", Severity::Warning, prog.stmt_span(stmt),
+                                "assertion may fail: " + analysis::describe_stmt(prog, stmt));
+    if (provenance.has_value()) d.notes.push_back(*provenance);
+    engine.report(std::move(d));
+  }
+  return n;
+}
+
+/// One warning per (statement, location) read of the implicit zero;
+/// returns how many.
+std::uint64_t emit_uninit_reads(const sem::LoweredProgram& prog, DiagnosticEngine& engine,
+                                const MayFacts& facts) {
+  std::set<std::pair<std::uint32_t, std::string>> seen;
+  for (const auto& [stmt, expr, loc] : facts.uninit_reads) {
+    std::string what = analysis::describe_loc(prog, loc);
+    if (!seen.insert({stmt, what}).second) continue;
+    engine.report(make_finding("uninit-read", Severity::Warning, prog.stmt_span(stmt),
+                               "read of " + what + " before any write (observes the "
+                               "implicit 0) in " + analysis::describe_stmt(prog, stmt)));
+  }
+  return seen.size();
+}
+
+/// Lowered statements the (converged) alarm source never reached.
+void emit_unreachable(const sem::LoweredProgram& prog, DiagnosticEngine& engine,
+                      const MayFacts& facts) {
+  if (facts.truncated) return;
+  std::set<std::uint32_t> lowered_stmts;
+  for (const sem::Proc& p : prog.procs()) {
+    for (const sem::Instr& instr : p.code) {
+      if (instr.stmt != nullptr) lowered_stmts.insert(instr.stmt->id());
     }
   }
-
-  // --- dead stores ----------------------------------------------------------
-  for (const std::uint32_t stmt : analysis::find_dead_stores(prog).stores) {
-    engine.report(make_finding("dead-store", Severity::Warning, prog.stmt_span(stmt),
-                               "stored value is never observed: " +
+  for (const std::uint32_t stmt : lowered_stmts) {
+    if (facts.reached_stmts.contains(stmt)) continue;
+    engine.report(make_finding("unreachable", Severity::Warning, prog.stmt_span(stmt),
+                               "statement is unreachable: " +
                                    analysis::describe_stmt(prog, stmt)));
   }
+}
 
-  // Definite iff the engine converged with nothing undecided left: no
-  // may-alarms beyond races, the lock discipline discharged statically, and
-  // every race candidate confirmed or refuted by its directed search.
-  sum.concrete_exhaustive =
-      !tm.truncated && tm.may_faults.empty() && tm.may_fail_asserts.empty() &&
-      st.locks.deadlock_free() && st.locks.unlocks_safe() &&
-      sum.stats.budget_exhausted == 0 && (opts.witnesses || tm.races.races.empty());
-
-  {
-    StatRegistry reg;
-    reg.set("check.pairs_total", sum.stats.pairs_total);
-    reg.set("check.pruned_mhp", sum.stats.pruned_mhp);
-    reg.set("check.pruned_lockset", sum.stats.pruned_lockset);
-    reg.set("check.candidates", sum.stats.candidates);
-    reg.set("check.confirmed", sum.stats.confirmed);
-    reg.set("check.refuted", sum.stats.refuted);
-    reg.set("check.budget_exhausted", sum.stats.budget_exhausted);
-    reg.set("check.configs_explored", sum.stats.configs_explored);
-    telemetry::Telemetry::global().publish_stats(reg);
-  }
-
-  engine.sort_by_location();
-  return sum;
+/// Tier statistics ride the shared metrics surface (`copar-cli
+/// --metrics-out`, `metrics-dump`) as `check.*` counters.
+void publish_stats(const TierStats& s) {
+  StatRegistry reg;
+  reg.set("check.pairs_total", s.pairs_total);
+  reg.set("check.pruned_mhp", s.pruned_mhp);
+  reg.set("check.pruned_lockset", s.pruned_lockset);
+  reg.set("check.candidates", s.candidates);
+  reg.set("check.confirmed", s.confirmed);
+  reg.set("check.refuted", s.refuted);
+  reg.set("check.budget_exhausted", s.budget_exhausted);
+  reg.set("check.configs_explored", s.configs_explored);
+  telemetry::Telemetry::global().publish_stats(reg);
 }
 
 }  // namespace
 
 CheckSummary run_checks(const CompiledProgram& cp, DiagnosticEngine& engine,
                         const CheckOptions& opts) {
-  if (opts.tier == Tier::Tmod) return run_tmod_checks(cp, engine, opts);
-
   const sem::LoweredProgram& prog = *cp.lowered;
+  const Tier tier = opts.tier;
   CheckSummary sum;
-  sum.tier = opts.tier;
+  sum.tier = tier;
 
-  // Abstract pass (intervals): may-faults, uninitialized reads, assertion
-  // and reachability facts. Terminates on every program (widening).
-  absem::AbsOptions aopts;
-  aopts.max_states = opts.abs_max_states;
-  absem::AbsResult<absdom::Interval> abs =
-      absem::AbsExplorer<absdom::Interval>(prog, aopts).run();
-  sum.abstract_states = abs.num_states;
+  // Static facts: every tier but explore (the legacy pipeline) reads them.
+  std::optional<StaticFacts> st;
+  if (tier != Tier::Explore) st.emplace(prog);
 
-  // Static tier (auto/static): lockset + MHP candidate generation, zero
-  // exploration.
-  std::optional<StaticTier> st;
-  if (opts.tier != Tier::Explore) {
-    st.emplace(prog);
-    sum.stats.pairs_total = st->cands.pairs_total;
-    sum.stats.pruned_mhp = st->cands.pruned_mhp;
-    sum.stats.pruned_lockset = st->cands.pruned_lockset;
-    sum.stats.candidates = st->cands.candidates.size();
+  // --- alarm source ---------------------------------------------------------
+  // The may-facts, and the race candidates auto/static/tmod confirm or
+  // report. Both sources terminate on every program (widening).
+  MayFacts facts;
+  analysis::CandidateReport cands;
+  if (tier == Tier::Tmod) {
+    // The rely/guarantee engine is the sole analysis: no interleaving
+    // enumeration, so it answers on programs whose configuration space can
+    // never be explored.
+    const analysis::Mhp mhp = st->par.stmt_mhp();
+    absem::TmodResult<absdom::Interval> tm = absem::tmod_analyze<absdom::Interval>(
+        prog, analysis::tmod_options(st->par, st->locks, mhp));
+    sum.tmod = {.ran = true, .threads = tm.threads, .rounds = tm.rounds,
+                .truncated = tm.truncated, .interference_facts = tm.interference_facts};
+    cands.pairs_total = tm.races.pairs_total;
+    cands.pruned_mhp = tm.races.pruned_mhp;
+    cands.pruned_lockset = tm.races.pruned_lockset;
+    for (const absem::TmodRace& r : tm.races.races) {
+      cands.candidates.push_back({r.stmt1, r.stmt2, r.write_write, r.write_read});
+    }
+    facts = take_may_facts(tm);
+  } else {
+    absem::AbsOptions aopts;
+    aopts.max_states = opts.abs_max_states;
+    absem::AbsResult<absdom::Interval> abs =
+        absem::AbsExplorer<absdom::Interval>(prog, aopts).run();
+    sum.abstract_states = abs.num_states;
+    facts = take_may_facts(abs);
+    if (st) cands = analysis::race_candidates(prog, st->info, st->par, st->locks);
   }
+  sum.stats.pairs_total = cands.pairs_total;
+  sum.stats.pruned_mhp = cands.pruned_mhp;
+  sum.stats.pruned_lockset = cands.pruned_lockset;
+  sum.stats.candidates = cands.candidates.size();
 
-  // Does the full concrete exploration run? The auto tier skips it when the
-  // static facts discharge everything it would establish: races go through
-  // directed per-candidate searches instead, and faults / assertions /
-  // deadlock are covered by the (sound) abstract may-sets plus the lock
-  // discipline predicates — the abstract pass does not model
-  // unlock-not-held or deadlock, so those two need the lockset proofs.
-  bool explore_now = true;
-  if (opts.tier == Tier::Static) {
-    explore_now = false;
-  } else if (opts.tier == Tier::Auto) {
-    explore_now = abs.truncated || !abs.may_faults.empty() ||
-                  !abs.may_fail_asserts.empty() || !st->locks.deadlock_free() ||
-                  !st->locks.unlocks_safe();
-  }
+  // Everything but races is settled without exploration when the source
+  // converged with no may-fault or may-fail assertion and the lockset
+  // proofs cover deadlock and unlock-not-held (which the abstract domains
+  // do not model).
+  const bool discharged = st && !facts.truncated && facts.may_faults.empty() &&
+                          facts.may_fail_asserts.empty() && st->locks.deadlock_free() &&
+                          st->locks.unlocks_safe();
+  // Directed searches decide race candidates: always on auto, on tmod unless
+  // --no-witness; static never searches.
+  const bool decide_races = tier == Tier::Auto || (tier == Tier::Tmod && opts.witnesses);
 
   // Concrete pass: ground truth when it completes — copar programs are
   // closed (no inputs), so an untruncated exploration covers every behavior.
+  // Auto runs it only for what the static facts cannot discharge.
   explore::ExploreResult conc;
-  if (explore_now) {
+  if (tier == Tier::Explore || (tier == Tier::Auto && !discharged)) {
     explore::ExploreOptions eopts;
-    // The auto tier resolves races via directed searches; skip the
-    // O(enabled²)-per-state pair recording it would never read.
-    eopts.record_pairs = opts.tier == Tier::Explore;
+    // Only the explore tier reads the O(enabled²)-per-state pair record.
+    eopts.record_pairs = tier == Tier::Explore;
     eopts.max_configs = opts.max_configs;
     conc = explore::explore(prog, eopts);
     sum.explored = true;
@@ -489,14 +490,9 @@ CheckSummary run_checks(const CompiledProgram& cp, DiagnosticEngine& engine,
     sum.stats.configs_explored += conc.num_configs;
     sum.concrete_exhaustive = !conc.truncated;
   } else {
-    // Auto: nothing left for exploration to decide — definite by static
-    // proof (directed searches may still flip this on budget exhaustion).
-    // Static: definite only when the static facts discharge everything.
-    sum.concrete_exhaustive =
-        opts.tier == Tier::Auto ||
-        (!abs.truncated && abs.may_faults.empty() && abs.may_fail_asserts.empty() &&
-         st->cands.candidates.empty() && st->locks.deadlock_free() &&
-         st->locks.unlocks_safe());
+    // Definite when the static facts discharge everything and every race
+    // candidate is decided (a search out of budget flips this below).
+    sum.concrete_exhaustive = discharged && (decide_races || cands.candidates.empty());
   }
 
   std::size_t witness_budget = opts.witnesses ? opts.max_witnesses : 0;
@@ -510,104 +506,65 @@ CheckSummary run_checks(const CompiledProgram& cp, DiagnosticEngine& engine,
     return w;
   };
 
+  // Without a complete concrete pass to confirm or refute them, the
+  // may-facts surface as warnings (auto skips the pass only when there are
+  // none). Tmod's carry the engine's provenance.
+  const bool may_facts_open = !sum.explored || conc.truncated;
+  std::optional<DiagNote> provenance;
+  if (tier == Tier::Tmod) {
+    provenance = DiagNote{{}, "established by the thread-modular interference analysis "
+                              "(rely/guarantee, no interleaving enumeration); run "
+                              "--tier=auto to confirm or refute concretely"};
+  }
+  std::uint64_t may_alarms = 0;  // tmod reports these plus its race candidates
+
   // --- run-time faults ----------------------------------------------------
-  if (sum.explored) {
-    for (const auto& [stmt, fault_raw] : conc.faults) {
-      const auto fault = static_cast<sem::Fault>(fault_raw);
-      Diagnostic d = make_finding(fault_code(fault), Severity::Error, prog.stmt_span(stmt),
-                                  std::string(fault_phrase(fault)) + " in " +
-                                      analysis::describe_stmt(prog, stmt));
-      explore::WitnessQuery q;
-      q.want_fault = stmt;
-      if (auto w = try_witness(std::move(q))) d.notes = witness_notes(prog, *w);
-      engine.report(std::move(d));
-    }
+  for (const auto& [stmt, fault_raw] : conc.faults) {
+    const auto fault = static_cast<sem::Fault>(fault_raw);
+    Diagnostic d = make_finding(fault_code(fault), Severity::Error, prog.stmt_span(stmt),
+                                std::string(fault_phrase(fault)) + " in " +
+                                    analysis::describe_stmt(prog, stmt));
+    explore::WitnessQuery q;
+    q.want_fault = stmt;
+    if (auto w = try_witness(std::move(q))) d.notes = witness_notes(prog, *w);
+    engine.report(std::move(d));
   }
-  if ((sum.explored && conc.truncated) || opts.tier == Tier::Static) {
-    // No (complete) concrete confirmation pass: surface the abstract
-    // may-faults as warnings. (When exhaustive, unconfirmed abstract
-    // alarms are refuted and dropped.)
-    std::set<std::pair<std::uint32_t, std::uint8_t>> seen;
-    for (const auto& [stmt, expr, fault_raw] : abs.may_faults) {
-      if (sum.explored && conc.faults.contains({stmt, fault_raw})) continue;
-      if (!seen.insert({stmt, fault_raw}).second) continue;
-      const auto fault = static_cast<sem::Fault>(fault_raw);
-      engine.report(make_finding(fault_code(fault), Severity::Warning, prog.stmt_span(stmt),
-                                 "possible " + std::string(fault_phrase(fault)) + " in " +
-                                     analysis::describe_stmt(prog, stmt)));
-    }
-  }
-  if (opts.tier == Tier::Static && st->locks.pristine() && !st->locks.unlocks_safe()) {
-    // The abstract pass does not model lock ownership; the lockset analysis
-    // flags releases that may not own the lock.
-    for (const sem::Proc& p : prog.procs()) {
-      for (std::uint32_t pc = 0; pc < p.code.size(); ++pc) {
-        const sem::Instr& i = p.code[pc];
-        if (i.op != sem::Op::Unlock || !st->locks.live(p.id, pc)) continue;
-        const auto slot = sem::lock_global_slot(prog, *i.lhs);
-        const auto bit = slot ? st->locks.bit_of_slot(*slot) : std::nullopt;
-        if (bit && (st->locks.held(p.id, pc) >> *bit & 1) != 0) continue;
-        const SourceSpan span = i.stmt != nullptr ? prog.stmt_span(i.stmt->id()) : SourceSpan{};
-        engine.report(make_finding("unlock-not-held", Severity::Warning, span,
-                                   "possible unlock of a lock that is not held (not in the "
-                                   "must-held lockset)"));
-      }
-    }
-  }
+  if (may_facts_open) may_alarms += emit_may_faults(prog, engine, facts, conc.faults, provenance);
+  if (!sum.explored) emit_unlock_not_held(prog, engine, st->locks);
 
   // --- data races ---------------------------------------------------------
-  if (opts.tier == Tier::Explore) {
-    analysis::Anomalies anomalies;
-    if (sum.concrete_exhaustive) {
-      anomalies = analysis::anomalies_from(conc);
+  const std::vector<analysis::RaceCandidate> races =
+      tier == Tier::Explore
+          ? explore_races(prog, conc, sum.concrete_exhaustive, opts.abs_max_states)
+          : std::move(cands.candidates);
+  for (const analysis::RaceCandidate& c : races) {
+    std::optional<explore::Witness> w;
+    std::optional<DiagNote> note;
+    if (decide_races) {
+      RaceVerdict v = confirm_race(prog, c, opts.pair_budget, sum.stats);
+      if (v.refuted) continue;
+      w = std::move(v.witness);
+      if (!w.has_value()) {
+        note = DiagNote{{}, "directed search exhausted its --pair-budget of " +
+                                std::to_string(opts.pair_budget) +
+                                " configurations without confirming or refuting; raise it "
+                                "to decide"};
+      }
+    } else if (tier == Tier::Explore) {
+      w = try_witness(race_query(c));
+    } else if (tier == Tier::Tmod) {
+      note = DiagNote{{}, "thread-modular candidate: re-run without --no-witness (or with "
+                          "--tier=auto) to confirm or refute with a directed search"};
     } else {
-      // Fall back to the sound abstract anomaly candidates.
-      absem::AbsOptions fopts;
-      fopts.max_states = opts.abs_max_states;
-      const absem::AbsResult<absdom::FlatInt> flat =
-          absem::AbsExplorer<absdom::FlatInt>(prog, fopts).run();
-      anomalies = analysis::anomalies_from(flat);
+      note = DiagNote{{}, "static-tier candidate: run --tier=auto to confirm or refute with "
+                          "a directed search"};
     }
-    for (const analysis::Anomaly& a : anomalies.all) {
-      if (is_sync_stmt(prog, a.stmt1) && is_sync_stmt(prog, a.stmt2)) continue;
-      std::ostringstream msg;
-      if (!sum.concrete_exhaustive) msg << "possible ";
-      msg << (a.write_write ? "write/write" : "write/read") << " data race between "
-          << analysis::describe_stmt(prog, a.stmt1) << " and "
-          << analysis::describe_stmt(prog, a.stmt2);
-      Diagnostic d =
-          make_finding("race", Severity::Error, prog.stmt_span(a.stmt1), msg.str());
-      d.related_spans.push_back(prog.stmt_span(a.stmt2));
-      explore::WitnessQuery q;
-      q.reach_predicate = race_reach_predicate(a.stmt1, a.stmt2);
-      if (auto w = try_witness(std::move(q))) {
-        d.notes = witness_notes(prog, *w);
-        d.notes.push_back(DiagNote{
-            prog.stmt_span(a.stmt2), "here " + analysis::describe_stmt(prog, a.stmt1) +
-                                         " and " + analysis::describe_stmt(prog, a.stmt2) +
-                                         " are both enabled; either may fire first"});
-      }
-      engine.report(std::move(d));
-    }
-  } else if (opts.tier == Tier::Static) {
-    // Static tier: candidates are reported as-is (possible races), pairs
-    // proven race-free by a common lock as race-guarded notes.
-    for (const analysis::RaceCandidate& c : st->cands.candidates) {
-      for (const bool ww : {true, false}) {
-        if (ww ? !c.write_write : !c.write_read) continue;
-        std::ostringstream msg;
-        msg << "possible " << (ww ? "write/write" : "write/read")
-            << " data race between " << analysis::describe_stmt(prog, c.stmt1) << " and "
-            << analysis::describe_stmt(prog, c.stmt2);
-        Diagnostic d =
-            make_finding("race", Severity::Error, prog.stmt_span(c.stmt1), msg.str());
-        d.related_spans.push_back(prog.stmt_span(c.stmt2));
-        d.notes.push_back(DiagNote{{}, "static-tier candidate: run --tier=auto to confirm "
-                                       "or refute with a directed search"});
-        engine.report(std::move(d));
-      }
-    }
-    for (const analysis::SuppressedPair& s : st->cands.suppressed) {
+    const bool possible = tier == Tier::Explore ? !sum.concrete_exhaustive : !w.has_value();
+    emit_race(prog, engine, c, possible, w.has_value() && opts.witnesses ? &*w : nullptr, note);
+  }
+  if (tier == Tier::Static) {
+    // Pairs proven race-free by a common lock, as race-guarded notes.
+    for (const analysis::SuppressedPair& s : cands.suppressed) {
       Diagnostic d = make_finding(
           "race-guarded", Severity::Note, prog.stmt_span(s.stmt1),
           "conflicting accesses " + analysis::describe_stmt(prog, s.stmt1) + " and " +
@@ -616,76 +573,15 @@ CheckSummary run_checks(const CompiledProgram& cp, DiagnosticEngine& engine,
       d.related_spans.push_back(prog.stmt_span(s.stmt2));
       engine.report(std::move(d));
     }
-  } else {
-    // Auto tier: a directed witness search per candidate, budgeted per pair.
-    // A found co-enabled state confirms the race; an exhausted search
-    // refutes it; a truncated search downgrades to "possible".
-    for (const analysis::RaceCandidate& c : st->cands.candidates) {
-      explore::WitnessQuery q;
-      q.reach_predicate = race_reach_predicate(c.stmt1, c.stmt2);
-      q.explore.max_configs = opts.pair_budget;
-      explore::WitnessStats ws;
-      const std::optional<explore::Witness> w = explore::find_witness(prog, q, &ws);
-      sum.stats.configs_explored += ws.configs;
-      if (!w.has_value() && !ws.truncated) {
-        ++sum.stats.refuted;
-        continue;
-      }
-      if (w.has_value()) {
-        ++sum.stats.confirmed;
-      } else {
-        ++sum.stats.budget_exhausted;
-        sum.concrete_exhaustive = false;
-      }
-      for (const bool ww : {true, false}) {
-        if (ww ? !c.write_write : !c.write_read) continue;
-        std::ostringstream msg;
-        if (!w.has_value()) msg << "possible ";
-        msg << (ww ? "write/write" : "write/read") << " data race between "
-            << analysis::describe_stmt(prog, c.stmt1) << " and "
-            << analysis::describe_stmt(prog, c.stmt2);
-        Diagnostic d =
-            make_finding("race", Severity::Error, prog.stmt_span(c.stmt1), msg.str());
-        d.related_spans.push_back(prog.stmt_span(c.stmt2));
-        if (w.has_value() && opts.witnesses) {
-          d.notes = witness_notes(prog, *w);
-          d.notes.push_back(DiagNote{
-              prog.stmt_span(c.stmt2), "here " + analysis::describe_stmt(prog, c.stmt1) +
-                                           " and " + analysis::describe_stmt(prog, c.stmt2) +
-                                           " are both enabled; either may fire first"});
-        } else if (!w.has_value()) {
-          d.notes.push_back(DiagNote{
-              {}, "directed search exhausted its --pair-budget of " +
-                      std::to_string(opts.pair_budget) +
-                      " configurations without confirming or refuting; raise it to decide"});
-        }
-        engine.report(std::move(d));
-      }
-    }
   }
+  if (sum.stats.budget_exhausted != 0) sum.concrete_exhaustive = false;
 
   // --- deadlock -----------------------------------------------------------
-  if (opts.tier == Tier::Static && !st->locks.deadlock_free()) {
-    // No exploration to confirm it; anchor at the first blocking point that
-    // may hold a lock (or the first lock statement when cells are tainted).
-    SourceSpan span;
-    for (const sem::Proc& p : prog.procs()) {
-      for (std::uint32_t pc = 0; pc < p.code.size() && !span.valid(); ++pc) {
-        const sem::Instr& i = p.code[pc];
-        if (i.stmt == nullptr || !st->locks.live(p.id, pc)) continue;
-        const bool blocks = i.op == sem::Op::Lock || i.op == sem::Op::Join;
-        if (!blocks) continue;
-        if (!st->locks.pristine() || st->locks.may_held(p.id, pc) != 0 ||
-            st->locks.may_hold_unknown(p.id, pc)) {
-          span = prog.stmt_span(i.stmt->id());
-        }
-      }
-    }
-    engine.report(make_finding("deadlock", Severity::Warning, span,
-                               "possible deadlock: a process may block while holding a "
-                               "lock (static tier; run --tier=auto to confirm)"));
+  if (!sum.explored) {
+    emit_static_deadlock(prog, engine, st->locks,
+                         tier == Tier::Tmod ? "thread-modular" : "static");
   }
-  if (sum.explored && conc.deadlock_found) {
+  if (conc.deadlock_found) {
     // Anchor the finding at the statements the blocked processes sit on.
     SourceSpan span;
     std::vector<SourceSpan> related;
@@ -713,75 +609,28 @@ CheckSummary run_checks(const CompiledProgram& cp, DiagnosticEngine& engine,
   }
 
   // --- assertions ---------------------------------------------------------
-  if (sum.explored) {
-    for (const std::uint32_t stmt : conc.violations) {
-      Diagnostic d = make_finding("assert-fail", Severity::Error, prog.stmt_span(stmt),
-                                  "assertion fails on some interleaving: " +
-                                      analysis::describe_stmt(prog, stmt));
-      explore::WitnessQuery q;
-      q.want_violation = stmt;
-      if (auto w = try_witness(std::move(q))) d.notes = witness_notes(prog, *w);
-      engine.report(std::move(d));
-    }
+  for (const std::uint32_t stmt : conc.violations) {
+    Diagnostic d = make_finding("assert-fail", Severity::Error, prog.stmt_span(stmt),
+                                "assertion fails on some interleaving: " +
+                                    analysis::describe_stmt(prog, stmt));
+    explore::WitnessQuery q;
+    q.want_violation = stmt;
+    if (auto w = try_witness(std::move(q))) d.notes = witness_notes(prog, *w);
+    engine.report(std::move(d));
   }
-  if ((sum.explored && conc.truncated) || opts.tier == Tier::Static) {
-    for (const std::uint32_t stmt : abs.may_fail_asserts) {
-      if (sum.explored && conc.violations.contains(stmt)) continue;
-      engine.report(make_finding("assert-may-fail", Severity::Warning, prog.stmt_span(stmt),
-                                 "assertion may fail: " +
-                                     analysis::describe_stmt(prog, stmt)));
-    }
+  if (may_facts_open) {
+    may_alarms += emit_may_fail_asserts(prog, engine, facts, conc.violations, provenance);
   }
 
-  // --- uninitialized reads ------------------------------------------------
-  {
-    std::set<std::pair<std::uint32_t, std::string>> seen;
-    for (const auto& [stmt, expr, loc] : abs.uninit_reads) {
-      std::string what = analysis::describe_loc(prog, loc);
-      if (!seen.insert({stmt, what}).second) continue;
-      engine.report(make_finding("uninit-read", Severity::Warning, prog.stmt_span(stmt),
-                                 "read of " + what + " before any write (observes the "
-                                 "implicit 0) in " + analysis::describe_stmt(prog, stmt)));
-    }
-  }
-
-  // --- unreachable statements ---------------------------------------------
-  if (!abs.truncated) {
-    std::set<std::uint32_t> lowered_stmts;
-    for (const sem::Proc& p : prog.procs()) {
-      for (const sem::Instr& instr : p.code) {
-        if (instr.stmt != nullptr) lowered_stmts.insert(instr.stmt->id());
-      }
-    }
-    for (const std::uint32_t stmt : lowered_stmts) {
-      if (abs.reached_stmts.contains(stmt)) continue;
-      engine.report(make_finding("unreachable", Severity::Warning, prog.stmt_span(stmt),
-                                 "statement is unreachable: " +
-                                     analysis::describe_stmt(prog, stmt)));
-    }
-  }
-
-  // --- dead stores ----------------------------------------------------------
+  may_alarms += emit_uninit_reads(prog, engine, facts);
+  emit_unreachable(prog, engine, facts);
   for (const std::uint32_t stmt : analysis::find_dead_stores(prog).stores) {
     engine.report(make_finding("dead-store", Severity::Warning, prog.stmt_span(stmt),
                                "stored value is never observed: " +
                                    analysis::describe_stmt(prog, stmt)));
   }
-
-  // Tier statistics ride the shared metrics surface (`copar-cli
-  // --metrics-out`, `metrics-dump`): publish as `check.*` counters.
-  {
-    StatRegistry reg;
-    reg.set("check.pairs_total", sum.stats.pairs_total);
-    reg.set("check.pruned_mhp", sum.stats.pruned_mhp);
-    reg.set("check.pruned_lockset", sum.stats.pruned_lockset);
-    reg.set("check.candidates", sum.stats.candidates);
-    reg.set("check.confirmed", sum.stats.confirmed);
-    reg.set("check.refuted", sum.stats.refuted);
-    reg.set("check.budget_exhausted", sum.stats.budget_exhausted);
-    reg.set("check.configs_explored", sum.stats.configs_explored);
-    telemetry::Telemetry::global().publish_stats(reg);
-  }
+  if (sum.tmod.ran) sum.tmod.alarms = may_alarms + races.size();
+  publish_stats(sum.stats);
 
   engine.sort_by_location();
   return sum;

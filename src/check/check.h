@@ -1,24 +1,29 @@
 // The static checker battery behind `copar-cli check`.
 //
-// Runs the framework's engines over a compiled program and turns their raw
-// facts into coded, source-located diagnostics:
+// One pipeline turns the framework's engines into coded, source-located
+// diagnostics for every tier (see Tier below, docs/TIERED_CHECKING.md):
 //
-//   * a concrete exploration (record_pairs) supplies ground truth when it
-//     completes: run-time faults, failing assertions, deadlocks, and the
-//     exact co-enabled conflicting pairs (data races);
-//   * an interval abstract interpretation supplies sound may-information:
-//     may-faults (division by zero, null dereference, out-of-bounds index,
-//     negative allocation), uninitialized reads, and statement
-//     reachability — used directly for the warnings-only checks and as the
-//     fallback when the concrete space is truncated;
-//   * the dead-store pass and (for races on truncated spaces) the flat
-//     abstract anomaly analysis are wrapped as-is.
+//   1. An alarm source fills one may-facts record — may-faults, may-fail
+//      assertions, uninitialized reads, reached statements, and whether
+//      the source was truncated. It is the interval abstract explorer for
+//      auto/static/explore and the thread-modular rely/guarantee engine
+//      for tmod; both terminate on every program (widening).
+//   2. Race candidates come from the static lockset + MHP tier (auto,
+//      static), the thread-modular engine (tmod), or, on the explore tier,
+//      the co-enabled pairs a full concrete exploration records (the flat
+//      abstract anomalies when it is truncated).
+//   3. A concrete exploration runs on the explore tier, and on auto only
+//      for what the static facts cannot discharge. When it completes it is
+//      ground truth (copar programs are closed): run-time faults, failing
+//      assertions, deadlocks; abstract may-facts it refutes are dropped.
+//      Otherwise the may-facts surface as "possible" warnings.
+//   4. One emitter per finding code reports the facts; one race confirmer
+//      (a directed witness search under --pair-budget) confirms, refutes
+//      or leaves undecided each candidate on auto, and on tmod unless
+//      --no-witness. The static tier reports candidates as-is.
 //
-// Findings that a completed concrete exploration refutes (an abstract
-// may-fault that never concretely fires) are dropped: the concrete space of
-// a closed program is exhaustive, so the abstract alarm is a false alarm.
-// Error-severity findings come with witness interleavings (explore/witness)
-// when the search budget allows.
+// Concrete findings (and explore-tier races) come with witness
+// interleavings (explore/witness) while CheckOptions::max_witnesses lasts.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +69,7 @@ struct CheckOptions {
   /// Budgets for the concrete exploration and the abstract fixpoint.
   std::uint64_t max_configs = 200000;
   std::uint64_t abs_max_states = 200000;
-  /// Directed-search budget per candidate pair (auto tier).
+  /// Directed-search budget per candidate pair (auto and tmod tiers).
   std::uint64_t pair_budget = 50000;
 };
 
@@ -79,8 +84,9 @@ struct TierStats {
   std::uint64_t pruned_lockset = 0;
   /// Candidates that survived both prunes.
   std::uint64_t candidates = 0;
-  /// Auto tier: candidates confirmed by a directed witness, refuted by an
-  /// exhausted search, or undecided when the pair budget ran out.
+  /// Auto and tmod tiers: candidates confirmed by a directed witness,
+  /// refuted by an exhausted search, or undecided when the pair budget ran
+  /// out.
   std::uint64_t confirmed = 0;
   std::uint64_t refuted = 0;
   std::uint64_t budget_exhausted = 0;

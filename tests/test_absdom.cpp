@@ -76,6 +76,9 @@ struct OpCase {
   const char* name;
   std::optional<std::int64_t> (*conc)(std::int64_t, std::int64_t);
 };
+// Print a case by its name: the default printer dumps the raw bytes,
+// pointers included, so ctest test names would change with every run.
+void PrintTo(const OpCase& op, std::ostream* os) { *os << op.name; }
 
 const OpCase kOps[] = {
     {"add", [](std::int64_t x, std::int64_t y) -> std::optional<std::int64_t> { return x + y; }},
@@ -169,6 +172,7 @@ struct CmpCase {
   const char* name;
   bool (*pred)(std::int64_t, std::int64_t);
 };
+void PrintTo(const CmpCase& c, std::ostream* os) { *os << c.name; }
 class IntervalCmp : public ::testing::TestWithParam<CmpCase> {};
 
 TEST_P(IntervalCmp, ExactOnSmallIntervals) {

@@ -9,7 +9,15 @@
 //
 //     samples × {Full, Stubborn} × {coarsen off/on} × {threads 1, 4}
 //
-// plus one `check` battery digest per sample. Regenerate (only when an
+// plus one `check` battery digest per sample, and one per sample for every
+// check tier × witness setting:
+//
+//     {auto, static, explore, tmod} × {witnesses on, off}
+//
+// each a digest of the text, JSON and SARIF renderings plus every
+// CheckSummary / TierStats / TmodStats field, so a refactor of the check
+// pipeline must keep every tier byte-identical (auto and tmod also run once
+// with a pair budget of 2, so some race searches run out). Regenerate (only when an
 // *intentional* semantic change lands) with:
 //
 //     COPAR_UPDATE_GOLDENS=1 ./build/tests/test_cow_diff
@@ -87,6 +95,39 @@ std::string check_digest(const CompiledProgram& prog, const std::string& source,
   return fp_hex(h.finalize());
 }
 
+/// Digest of one `check` run under `opts`: the text, JSON and SARIF
+/// renderings byte for byte, then every CheckSummary field.
+std::string check_tier_digest(const CompiledProgram& prog, const std::string& source,
+                              const std::string& name, const check::CheckOptions& opts) {
+  DiagnosticEngine engine;
+  const check::CheckSummary sum = check::run_checks(prog, engine, opts);
+  std::ostringstream os;
+  engine.render_text(os, source, name);
+  os << '\n';
+  engine.render_json(os, name);
+  os << '\n';
+  engine.render_sarif(os, name, check::catalog());
+  const std::string text = os.str();
+  support::Fp128Hasher h;
+  h.u32(static_cast<std::uint32_t>(text.size()));
+  for (const char c : text) h.u8(static_cast<std::uint8_t>(c));
+  h.u8(sum.concrete_exhaustive ? 1 : 0);
+  h.u8(sum.explored ? 1 : 0);
+  h.u8(static_cast<std::uint8_t>(sum.tier));
+  for (const std::uint64_t v :
+       {sum.concrete_configs, sum.abstract_states, sum.stats.pairs_total,
+        sum.stats.pruned_mhp, sum.stats.pruned_lockset, sum.stats.candidates,
+        sum.stats.confirmed, sum.stats.refuted, sum.stats.budget_exhausted,
+        sum.stats.configs_explored, sum.tmod.interference_facts, sum.tmod.alarms}) {
+    h.u64(v);
+  }
+  h.u8(sum.tmod.ran ? 1 : 0);
+  h.u32(sum.tmod.threads);
+  h.u32(sum.tmod.rounds);
+  h.u8(sum.tmod.truncated ? 1 : 0);
+  return fp_hex(h.finalize());
+}
+
 constexpr std::uint64_t kBudget = 300000;
 
 struct Matrix {
@@ -125,6 +166,25 @@ Matrix compute_matrix() {
       }
     }
     m.rows[name + " check"] = check_digest(*prog, source, name);
+    for (const check::Tier tier :
+         {check::Tier::Auto, check::Tier::Static, check::Tier::Explore, check::Tier::Tmod}) {
+      for (const bool witnesses : {true, false}) {
+        check::CheckOptions opts;
+        opts.tier = tier;
+        opts.witnesses = witnesses;
+        m.rows[name + " check " + std::string(check::tier_name(tier)) +
+               (witnesses ? " witness" : " no-witness")] =
+            check_tier_digest(*prog, source, name, opts);
+      }
+    }
+    // A starved pair budget pins the budget-exhausted race path.
+    for (const check::Tier tier : {check::Tier::Auto, check::Tier::Tmod}) {
+      check::CheckOptions opts;
+      opts.tier = tier;
+      opts.pair_budget = 2;
+      m.rows[name + " check " + std::string(check::tier_name(tier)) + " pair-budget=2"] =
+          check_tier_digest(*prog, source, name, opts);
+    }
   }
   return m;
 }

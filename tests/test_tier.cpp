@@ -488,12 +488,6 @@ TEST(CheckTier, StatsInvariantHoldsAcrossTiers) {
 
 // --- agreement with the explorer over the shipped samples -------------------
 
-bool is_sync_stmt(const sem::LoweredProgram& prog, std::uint32_t stmt_id) {
-  const lang::Stmt* s = prog.stmt(stmt_id);
-  return s != nullptr &&
-         (s->kind() == lang::StmtKind::Lock || s->kind() == lang::StmtKind::Unlock);
-}
-
 TEST(TierAgreement, CandidatesCoverExplorerRacesOnAllSamples) {
   const std::filesystem::path dir = COPAR_SAMPLES_DIR;
   ASSERT_TRUE(std::filesystem::is_directory(dir));
@@ -522,8 +516,8 @@ TEST(TierAgreement, CandidatesCoverExplorerRacesOnAllSamples) {
       if (res.truncated) continue;  // unbounded sample: nothing to compare
       ++checked;
       for (const analysis::Anomaly& a : analysis::anomalies_from(res).all) {
-        if (is_sync_stmt(*t.prog->lowered, a.stmt1) &&
-            is_sync_stmt(*t.prog->lowered, a.stmt2)) {
+        if (analysis::is_sync_stmt(*t.prog->lowered, a.stmt1) &&
+            analysis::is_sync_stmt(*t.prog->lowered, a.stmt2)) {
           continue;  // lock contention, not a data race
         }
         const auto key = std::make_pair(std::min(a.stmt1, a.stmt2),

@@ -38,12 +38,6 @@ namespace {
 
 using StmtPair = std::pair<std::uint32_t, std::uint32_t>;
 
-bool is_sync_stmt(const sem::LoweredProgram& prog, std::uint32_t stmt_id) {
-  const lang::Stmt* s = prog.stmt(stmt_id);
-  return s != nullptr &&
-         (s->kind() == lang::StmtKind::Lock || s->kind() == lang::StmtKind::Unlock);
-}
-
 StmtPair norm(std::uint32_t a, std::uint32_t b) {
   return {std::min(a, b), std::max(a, b)};
 }
@@ -221,7 +215,7 @@ ConcreteFacts concrete_facts(const sem::LoweredProgram& prog) {
   if (res.truncated) return out;
   out.completed = true;
   for (const analysis::Anomaly& a : analysis::anomalies_from(res).all) {
-    if (is_sync_stmt(prog, a.stmt1) && is_sync_stmt(prog, a.stmt2)) continue;
+    if (analysis::is_sync_stmt(prog, a.stmt1) && analysis::is_sync_stmt(prog, a.stmt2)) continue;
     out.races.insert(norm(a.stmt1, a.stmt2));
   }
   out.violations = res.violations;

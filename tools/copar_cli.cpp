@@ -73,6 +73,7 @@
 #include "src/analysis/lifetime.h"
 #include "src/analysis/lockset.h"
 #include "src/analysis/mhp.h"
+#include "src/analysis/racecand.h"
 #include "src/analysis/sideeffect.h"
 #include "src/analysis/staticmhp.h"
 #include "src/apps/parallelize.h"
@@ -322,22 +323,13 @@ int cmd_analyze_tmod(const copar::CompiledProgram& p, const std::string& path,
   using namespace copar;
   const sem::LoweredProgram& prog = *p.lowered;
 
-  // Static lockset / MHP facts prune interference and race pairs, exactly
-  // as `check --tier tmod` wires them.
+  // Static lockset / MHP facts prune interference and race pairs.
   const explore::StaticInfo info(prog);
   const analysis::StaticParallelism par(prog, info);
   const analysis::LockSets locks(prog, info);
   const analysis::Mhp mhp = par.stmt_mhp();
-  absem::TmodOptions topts;
-  if (locks.pristine()) {
-    topts.must_locks = [&locks](std::uint32_t pr, std::uint32_t pc) -> std::uint64_t {
-      return locks.live(pr, pc) ? locks.held(pr, pc) : 0;
-    };
-  }
-  topts.self_parallel = [&par](std::uint32_t pr) { return par.parallel_procs(pr, pr); };
-  topts.parallel = [&mhp](std::uint32_t s, std::uint32_t t) { return mhp.parallel(s, t); };
-
-  const auto r = absem::tmod_analyze<absdom::Interval>(prog, topts);
+  const auto r = absem::tmod_analyze<absdom::Interval>(
+      prog, analysis::tmod_options(par, locks, mhp));
   finish_sampling();
 
   if (g.json) {
@@ -809,18 +801,28 @@ int cmd_check(const std::string& path, const std::string& source,
                 << sum.stats.budget_exhausted << " budget-exhausted), "
                 << sum.stats.configs_explored << " configurations explored\n";
     }
-    if (!front.has_errors() && sum.explored && !sum.concrete_exhaustive) {
-      std::cerr << "note: state space truncated at " << copts.max_configs
-                << " configurations; abstract may-findings included, raise --max-configs "
-                   "to confirm\n";
-    }
-    if (!front.has_errors() && !sum.explored && !sum.concrete_exhaustive) {
+    if (!front.has_errors() && !sum.concrete_exhaustive) {
+      // Name what left the findings indefinite: the exploration's
+      // --max-configs (a truncated one stops at exactly that many), race
+      // searches out of --pair-budget, or a tier that confirms nothing
+      // concretely — never suggesting the tier already running.
+      if (sum.explored && sum.concrete_configs >= copts.max_configs) {
+        std::cerr << "note: state space truncated at " << copts.max_configs
+                  << " configurations; abstract may-findings included, raise --max-configs "
+                     "to confirm\n";
+      }
+      if (sum.stats.budget_exhausted != 0) {
+        std::cerr << "note: " << sum.stats.budget_exhausted
+                  << " race candidate(s) left undecided: each directed search exhausted its "
+                     "--pair-budget of "
+                  << copts.pair_budget << " configurations; raise --pair-budget to decide them\n";
+      }
       if (copts.tier == check::Tier::Tmod) {
-        std::cerr << "note: thread-modular alarms left undecided; run --tier=auto "
-                     "or raise --pair-budget to confirm or refute them\n";
-      } else {
-        std::cerr << "note: static tier left candidates unconfirmed; run --tier=auto "
-                     "with a larger --pair-budget or --tier=explore to decide them\n";
+        std::cerr << "note: thread-modular alarms left undecided; run --tier=auto to "
+                     "confirm or refute them\n";
+      } else if (copts.tier == check::Tier::Static) {
+        std::cerr << "note: static tier left candidates unconfirmed; run --tier=auto or "
+                     "--tier=explore to decide them\n";
       }
     }
   }
