@@ -17,8 +17,15 @@
 // each a digest of the text, JSON and SARIF renderings plus every
 // CheckSummary / TierStats / TmodStats field, so a refactor of the check
 // pipeline must keep every tier byte-identical (auto and tmod also run once
-// with a pair budget of 2, so some race searches run out). Regenerate (only when an
-// *intentional* semantic change lands) with:
+// with a pair budget of 2, so some race searches run out). The abstract
+// engines are pinned directly too, one digest of every result field and
+// counter per cell:
+//
+//     AbsExplorer × {FlatInt, Interval, Parity, Sign} × {Tree, Clan} × k ∈ {0, 2}
+//     tmod_analyze × {Interval, FlatInt}
+//
+// The evaluation counters pin the iteration order, not only the fixpoint.
+// Regenerate (only when an *intentional* semantic change lands) with:
 //
 //     COPAR_UPDATE_GOLDENS=1 ./build/tests/test_cow_diff
 #include <gtest/gtest.h>
@@ -29,10 +36,17 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/absdom/flat.h"
+#include "src/absdom/interval.h"
+#include "src/absdom/parity.h"
+#include "src/absdom/sign.h"
+#include "src/absem/absexplore.h"
+#include "src/absem/tmod.h"
 #include "src/check/check.h"
 #include "src/explore/explorer.h"
 #include "src/sem/program.h"
@@ -128,13 +142,180 @@ std::string check_tier_digest(const CompiledProgram& prog, const std::string& so
   return fp_hex(h.finalize());
 }
 
-constexpr std::uint64_t kBudget = 300000;
-
 struct Matrix {
   /// "<sample> <cell>" -> digest ("truncated" for over-budget cells, which
   /// stay pinned as truncated so a budget change is visible too).
   std::map<std::string, std::string> rows;
 };
+
+/// Abstract-state budget of the absem rows: every sample converges far
+/// below it, so a truncated cell would show a changed fixpoint.
+constexpr std::uint64_t kAbsBudget = 200000;
+
+void hash_str(support::Fp128Hasher& h, const std::string& s) {
+  h.u32(static_cast<std::uint32_t>(s.size()));
+  for (const char c : s) h.u8(static_cast<std::uint8_t>(c));
+}
+
+void hash_loc(support::Fp128Hasher& h, const absem::AbsLoc& loc) {
+  h.u8(static_cast<std::uint8_t>(loc.kind));
+  h.u32(loc.a);
+  h.u32(loc.b);
+  h.u32(loc.c);
+}
+
+void hash_ids(support::Fp128Hasher& h, const std::set<std::uint32_t>& ids) {
+  h.u32(static_cast<std::uint32_t>(ids.size()));
+  for (const std::uint32_t id : ids) h.u32(id);
+}
+
+void hash_locs(support::Fp128Hasher& h, const std::set<absem::AbsLoc>& locs) {
+  h.u32(static_cast<std::uint32_t>(locs.size()));
+  for (const absem::AbsLoc& loc : locs) hash_loc(h, loc);
+}
+
+template <typename V, typename F>
+void hash_map(support::Fp128Hasher& h, const std::map<std::uint32_t, V>& m, F&& each) {
+  h.u32(static_cast<std::uint32_t>(m.size()));
+  for (const auto& [k, v] : m) {
+    h.u32(k);
+    each(v);
+  }
+}
+
+template <absem::NumDomain N>
+void hash_value(support::Fp128Hasher& h, const absem::AbsValue<N>& v) {
+  hash_str(h, v.num.to_string());
+  h.u8(v.may_null ? 1 : 0);
+  hash_locs(h, v.ptrs.elems());
+  hash_ids(h, v.fns.elems());
+}
+
+template <absem::NumDomain N>
+void hash_store(support::Fp128Hasher& h, const absem::AbsStore<N>& s) {
+  h.u32(static_cast<std::uint32_t>(s.entries().size()));
+  for (const auto& [loc, v] : s.entries()) {
+    hash_loc(h, loc);
+    hash_value(h, v);
+  }
+}
+
+template <typename Faults, typename Uninit>
+void hash_alarms(support::Fp128Hasher& h, const std::set<std::uint32_t>& asserts,
+                 const Faults& faults, const Uninit& uninit) {
+  hash_ids(h, asserts);
+  h.u32(static_cast<std::uint32_t>(faults.size()));
+  for (const auto& [stmt, expr, kind] : faults) {
+    h.u32(stmt);
+    h.u32(expr);
+    h.u8(kind);
+  }
+  h.u32(static_cast<std::uint32_t>(uninit.size()));
+  for (const auto& [stmt, expr, loc] : uninit) {
+    h.u32(stmt);
+    h.u32(expr);
+    hash_loc(h, loc);
+  }
+}
+
+template <absem::NumDomain N>
+void hash_sizes(support::Fp128Hasher& h, const std::map<std::uint32_t, N>& sizes) {
+  hash_map(h, sizes, [&](const N& n) { hash_str(h, n.to_string()); });
+}
+
+void hash_counters(support::Fp128Hasher& h, const StatRegistry& stats) {
+  h.u32(static_cast<std::uint32_t>(stats.all().size()));
+  for (const auto& [name, v] : stats.all()) {
+    hash_str(h, name);
+    h.u64(v);
+  }
+}
+
+/// Digest of every AbsResult field, the evaluation counters included.
+template <absem::NumDomain N>
+std::string abs_digest(const absem::AbsResult<N>& r) {
+  support::Fp128Hasher h;
+  h.u64(r.num_states);
+  h.u8(r.truncated ? 1 : 0);
+  h.u32(static_cast<std::uint32_t>(r.mhp.size()));
+  for (const auto& [a, b] : r.mhp) {
+    h.u32(a);
+    h.u32(b);
+  }
+  hash_alarms(h, r.may_fail_asserts, r.may_faults, r.uninit_reads);
+  hash_sizes(h, r.site_sizes);
+  hash_ids(h, r.reached_stmts);
+  for (const auto* m : {&r.reads_direct, &r.writes_direct, &r.stmt_reads, &r.stmt_writes}) {
+    hash_map(h, *m, [&](const std::set<absem::AbsLoc>& locs) { hash_locs(h, locs); });
+  }
+  for (const auto* m : {&r.call_edges, &r.fork_edges, &r.stmt_callees}) {
+    hash_map(h, *m, [&](const std::set<std::uint32_t>& ids) { hash_ids(h, ids); });
+  }
+  h.u32(static_cast<std::uint32_t>(r.point_stores.size()));
+  for (const auto& [pt, store] : r.point_stores) {
+    h.u32(pt.first);
+    h.u32(pt.second);
+    hash_store(h, store);
+  }
+  hash_counters(h, r.stats);
+  return fp_hex(h.finalize());
+}
+
+/// Digest of every TmodResult field, the evaluation counters included.
+template <absem::NumDomain N>
+std::string tmod_digest(const absem::TmodResult<N>& r) {
+  support::Fp128Hasher h;
+  h.u32(r.threads);
+  h.u32(r.rounds);
+  h.u8(r.truncated ? 1 : 0);
+  hash_alarms(h, r.may_fail_asserts, r.may_faults, r.uninit_reads);
+  h.u32(static_cast<std::uint32_t>(r.races.races.size()));
+  for (const absem::TmodRace& race : r.races.races) {
+    h.u32(race.stmt1);
+    h.u32(race.stmt2);
+    h.u8(race.write_write ? 1 : 0);
+    h.u8(race.write_read ? 1 : 0);
+  }
+  for (const std::uint64_t v :
+       {r.races.pairs_total, r.races.pruned_mhp, r.races.pruned_lockset, r.interference_facts}) {
+    h.u64(v);
+  }
+  hash_ids(h, r.reached_stmts);
+  hash_sizes(h, r.site_sizes);
+  h.u32(static_cast<std::uint32_t>(r.accesses.size()));
+  for (const absem::AccessRecord& a : r.accesses) {
+    h.u32(a.thread);
+    h.u32(a.stmt);
+    hash_loc(h, a.loc);
+    h.u8(a.is_write ? 1 : 0);
+    h.u8(a.sync ? 1 : 0);
+    h.u64(a.locks);
+  }
+  for (const auto* m : {&r.guarantees, &r.relies}) {
+    hash_map(h, *m, [&](const absem::Interference<N>& i) { hash_store(h, i); });
+  }
+  hash_counters(h, r.stats);
+  return fp_hex(h.finalize());
+}
+
+template <absem::NumDomain N>
+void add_abs_rows(Matrix& m, const std::string& name, const sem::LoweredProgram& prog,
+                  const char* domain) {
+  for (const absem::Folding folding : {absem::Folding::Tree, absem::Folding::Clan}) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{2}}) {
+      absem::AbsOptions opts;
+      opts.folding = folding;
+      opts.call_string_k = k;
+      opts.max_states = kAbsBudget;
+      const absem::AbsResult<N> r = absem::AbsExplorer<N>(prog, opts).run();
+      EXPECT_FALSE(r.truncated) << name << ' ' << domain;
+      m.rows[name + " abs " + domain + (folding == absem::Folding::Tree ? " tree" : " clan") +
+             " k" + std::to_string(k)] = abs_digest(r);
+    }
+  }
+}
+
+constexpr std::uint64_t kBudget = 300000;
 
 Matrix compute_matrix() {
   Matrix m;
@@ -177,6 +358,13 @@ Matrix compute_matrix() {
             check_tier_digest(*prog, source, name, opts);
       }
     }
+    add_abs_rows<absdom::FlatInt>(m, name, *prog->lowered, "flat");
+    add_abs_rows<absdom::Interval>(m, name, *prog->lowered, "interval");
+    add_abs_rows<absdom::Parity>(m, name, *prog->lowered, "parity");
+    add_abs_rows<absdom::Sign>(m, name, *prog->lowered, "sign");
+    m.rows[name + " tmod interval"] =
+        tmod_digest(absem::tmod_analyze<absdom::Interval>(*prog->lowered));
+    m.rows[name + " tmod flat"] = tmod_digest(absem::tmod_analyze<absdom::FlatInt>(*prog->lowered));
     // A starved pair budget pins the budget-exhausted race path.
     for (const check::Tier tier : {check::Tier::Auto, check::Tier::Tmod}) {
       check::CheckOptions opts;
