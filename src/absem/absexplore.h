@@ -39,8 +39,7 @@
 #include <string>
 #include <vector>
 
-#include "src/absdom/map.h"
-#include "src/absem/absvalue.h"
+#include "src/absem/abseval.h"
 #include "src/explore/frontier.h"
 #include "src/sem/config.h"
 #include "src/sem/lower.h"
@@ -102,9 +101,6 @@ inline support::Fingerprint control_fingerprint(const AbsControl& ctrl) {
   }
   return h.finalize();
 }
-
-template <NumDomain N>
-using AbsStore = absdom::MapLattice<AbsLoc, AbsValue<N>>;
 
 struct AbsOptions {
   Folding folding = Folding::Tree;
@@ -221,78 +217,20 @@ class AbsExplorer {
     friend auto operator<=>(const Continuation&, const Continuation&) = default;
   };
 
-  // --- evaluation --------------------------------------------------------
-  [[nodiscard]] AbsLoc var_absloc(std::uint32_t proc, const lang::Expr& ref) const;
-  [[nodiscard]] Value read_loc(const Store& store, const AbsLoc& loc);
-  [[nodiscard]] Value eval(const Store& store, std::uint32_t proc, const lang::Expr& e);
-  [[nodiscard]] std::set<AbsLoc> lvalue_locs(const Store& store, std::uint32_t proc,
-                                             const lang::Expr& lv);
-  /// Pointer arithmetic on frame pointers may reach any slot of the frame.
-  [[nodiscard]] absdom::PowerSet<AbsLoc> spread_frames(const absdom::PowerSet<AbsLoc>& locs) const;
-
-  /// `attribute` controls whether the write lands in the current action's
-  /// access sets (return-value writes belong to the call site, not the
-  /// returning function).
-  void update(Store& store, const std::set<AbsLoc>& locs, const Value& v,
-              bool attribute = true);
-
-  /// Branch-condition refinement: narrows `store` along the `want_true`
-  /// edge of `cond` when the condition compares a refinable variable (a
-  /// global, or a local of the never-called entry proc — unique concrete
-  /// cells) against a numeric expression. Returns false if the edge is
-  /// infeasible (the refined value is bottom).
-  [[nodiscard]] bool refine_branch(Store& store, std::uint32_t proc, const lang::Expr& cond,
-                                   bool want_true);
-
   // --- control-state plumbing ---------------------------------------------
-  [[nodiscard]] std::uint32_t settle_pc(std::uint32_t proc, std::uint32_t pc) const;
   static void insert_point(AbsControl& ctrl, AbsPoint p);
-  [[nodiscard]] AbsControl with_point_replaced(const AbsControl& ctrl, std::size_t idx,
-                                               AbsPoint replacement) const;
   [[nodiscard]] AbsControl with_point_removed(const AbsControl& ctrl, std::size_t idx) const;
 
   void enqueue(AbsControl ctrl, Store store);
   void transfer(const AbsControl& ctrl, const Store& store);
   void transfer_point(const AbsControl& ctrl, const Store& store, std::size_t idx);
 
-  /// Context hash of a call string (0 for empty / context-insensitive).
-  [[nodiscard]] std::uint32_t cstring_ctx(const std::vector<std::uint32_t>& cs) const;
-  /// True if (fn, slot) must stay context-merged (accessed via hops).
-  [[nodiscard]] bool slot_merged(std::uint32_t fn, std::uint32_t slot) const {
-    return merged_fns_.contains(fn) || merged_slots_.contains({fn, slot});
-  }
-
   const sem::LoweredProgram& prog_;
   AbsOptions opts_;
   AbsResult<N> result_;
-
-  /// Frame slots accessed with hops > 0 anywhere (lambda captures, doall
-  /// bodies reading enclosing locals): these keep context 0.
-  std::set<std::pair<std::uint32_t, std::uint32_t>> merged_slots_;
-  /// Functions with address-taken locals: their whole frame stays merged
-  /// (pointers cannot know activation contexts).
-  std::set<std::uint32_t> merged_fns_;
-  /// Call string of the point currently being transferred (null = empty).
-  const std::vector<std::uint32_t>* cur_cstring_ = nullptr;
-  /// Statement and expression context of the action currently being
-  /// transferred, for fault attribution (kNoCtx = outside any action, e.g.
-  /// global initializers — faults there are not recorded).
-  static constexpr std::uint32_t kNoCtx = 0xffffffffu;
-  std::uint32_t cur_stmt_ = kNoCtx;
-  /// Fault/uninit recording gate: off for Lock/Unlock actions (their cell
-  /// traffic is synchronization, not data flow) and outside actions.
-  bool track_faults_ = false;
-
-  /// Records a may-fault at `expr` of the current action, if tracking.
-  void note_fault(sem::Fault f, std::uint32_t expr_id) {
-    if (track_faults_ && cur_stmt_ != kNoCtx) {
-      result_.may_faults.insert({cur_stmt_, expr_id, static_cast<std::uint8_t>(f)});
-    }
-  }
-
-  /// Records an OutOfBounds may-fault when `index` may fall outside an
-  /// indexed heap object's allocated size (joined per alloc site).
-  void check_bounds(const Value& base, const Value& index, const lang::Index& ix);
+  /// The abstract semantics (src/absem/abseval.h): frame cells carry the
+  /// transferred point's call string, and there is no rely or guarantee.
+  AbsEval<N> ev_;
 
   std::map<AbsControl, Store> states_;
   /// Fixpoint worklist: FIFO with fingerprint-keyed queued-membership (a
@@ -301,10 +239,6 @@ class AbsExplorer {
   explore::UniqueFifo<AbsControl> work_;
   std::map<std::uint32_t, std::set<Continuation>> conts_;  // proc -> call sites
   bool conts_grew_ = false;
-
-  // scratch: accesses of the action currently being transferred
-  std::set<AbsLoc> cur_reads_;
-  std::set<AbsLoc> cur_writes_;
 };
 
 // Convenience aliases for the shipped numeric domains.

@@ -228,8 +228,7 @@ ExploreResult Explorer::run() {
       to_id = probe.id;
       // Stack proviso (ignoring problem): a reduced expansion that closes a
       // cycle on the DFS stack re-expands the source state fully.
-      if (options_.reduction == Reduction::Stubborn && options_.cycle_proviso &&
-          proviso.on_stack(to_id)) {
+      if (options_.reduction == Reduction::Stubborn && proviso.on_stack(to_id)) {
         StackEntry& cur = stack.back();
         if (!cur.expanded_full) {
           cur.expanded_full = true;

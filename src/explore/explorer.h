@@ -56,7 +56,6 @@ struct ExploreOptions {
   bool record_accesses = false;
   bool record_pairs = false;      // MHP / conflicting statement pairs
   bool record_lifetimes = false;  // per-site escape facts (implies extra work)
-  bool cycle_proviso = true;      // stubborn only
   /// Worker threads. 1 = the sequential DFS engine; >1 selects the
   /// work-stealing engine in parexplore.cpp (see docs/PARALLEL.md). Both
   /// engines support sleep sets and the recording payloads; the parallel

@@ -296,8 +296,7 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
       return a.fresh;
     };
 
-    if (fire_with_insertion_proviso(enabled, expansion, reduced,
-                                    options.cycle_proviso && !truncated.load(), fire)) {
+    if (fire_with_insertion_proviso(enabled, expansion, reduced, !truncated.load(), fire)) {
       ws.proviso_full_expansions += 1;
     }
   };

@@ -59,16 +59,17 @@ class DfsStackProviso {
 /// the remaining enabled processes are fired as well (full re-expansion).
 /// `fire(pid)` performs one transition and returns true when its successor
 /// was newly inserted into the visited set. Returns true when the proviso
-/// triggered the full re-expansion (callers count it).
+/// triggered the full re-expansion (callers count it); `proviso_on` false
+/// (a search already out of budget) never re-expands.
 template <typename FireFn>
 bool fire_with_insertion_proviso(const std::vector<sem::Pid>& enabled,
                                  const std::vector<sem::Pid>& expansion, bool reduced,
-                                 bool cycle_proviso, FireFn&& fire) {
+                                 bool proviso_on, FireFn&& fire) {
   bool all_new = true;
   for (const sem::Pid pid : expansion) {
     if (!fire(pid)) all_new = false;
   }
-  if (!reduced || all_new || !cycle_proviso) return false;
+  if (!reduced || all_new || !proviso_on) return false;
   for (const sem::Pid pid : enabled) {
     if (std::find(expansion.begin(), expansion.end(), pid) != expansion.end()) continue;
     fire(pid);

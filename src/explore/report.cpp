@@ -53,7 +53,7 @@ void write_json_report(support::JsonWriter& w, std::string_view command, std::st
   w.key("sleep_sets");
   w.value(o.sleep_sets);
   w.key("cycle_proviso");
-  w.value(o.cycle_proviso);
+  w.value(true);  // always on under stubborn sets; kept for the report schema
   w.key("max_configs");
   w.value(o.max_configs);
   w.key("threads");

@@ -137,7 +137,7 @@ std::optional<Witness> find_witness(const sem::LoweredProgram& prog,
     // BFS has no stack, so the stack proviso cannot apply; the core's
     // insertion proviso (shared with the parallel engine) keeps the
     // reduced search complete on cyclic spaces.
-    (void)fire_with_insertion_proviso(enabled, expansion, reduced, /*cycle_proviso=*/true,
+    (void)fire_with_insertion_proviso(enabled, expansion, reduced, /*proviso_on=*/true,
                                       fire);
   }
   stats->configs = nodes.size();

@@ -1,6 +1,8 @@
 #include "src/lang/parser.h"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "src/lang/lexer.h"
 #include "src/lang/resolver.h"
@@ -45,16 +47,46 @@ void Parser::sync_to_semi() {
   match(Tok::Semi);
 }
 
+Parser::Nest::Nest(Parser& p, SourceLoc loc) : p_(p) {
+  if (p.depth_ >= kMaxNesting) p.too_deep(loc);
+  ++p.depth_;
+  p.reach_ = std::max(p.reach_, p.depth_);
+}
+
+void Parser::too_deep(SourceLoc loc) {
+  diags_.report(Severity::Error, loc,
+                "nesting deeper than " + std::to_string(kMaxNesting) + " levels; parsing stopped",
+                "nesting-too-deep");
+  throw NestingTooDeep{};
+}
+
+std::size_t Parser::grow(std::size_t h, SourceLoc loc) {
+  if (depth_ + h > kMaxNesting) too_deep(loc);
+  reach_ = std::max(reach_, depth_ + h);
+  return h;
+}
+
+ExprPtr Parser::binary(BinOp op, ExprPtr lhs, ExprPtr rhs, SourceLoc loc,
+                       std::size_t& lhs_height) {
+  lhs_height = height_ = grow(std::max(lhs_height, height_) + 1, loc);
+  return finish(std::make_unique<Binary>(op, std::move(lhs), std::move(rhs), loc,
+                                         module_.next_id()));
+}
+
 void Parser::parse_module() {
-  while (!peek().is(Tok::Eof)) {
-    if (peek().is(Tok::KwVar)) {
-      parse_global();
-    } else if (peek().is(Tok::KwFun)) {
-      parse_fundecl();
-    } else {
-      diags_.error(peek().loc, "expected 'var' or 'fun' at top level");
-      sync_to_semi();
+  try {
+    while (!peek().is(Tok::Eof)) {
+      if (peek().is(Tok::KwVar)) {
+        parse_global();
+      } else if (peek().is(Tok::KwFun)) {
+        parse_fundecl();
+      } else {
+        diags_.error(peek().loc, "expected 'var' or 'fun' at top level");
+        sync_to_semi();
+      }
     }
+  } catch (const NestingTooDeep&) {
+    // Reported; the partial tree is never resolved (there is an error).
   }
 }
 
@@ -99,6 +131,7 @@ std::unique_ptr<Block> Parser::parse_block() {
 }
 
 void Parser::parse_stmt(std::vector<StmtPtr>& out) {
+  const Nest nest(*this, peek().loc);
   Symbol label;
   if (peek().is(Tok::Ident) && peek(1).is(Tok::Colon)) {
     label = advance().ident;
@@ -318,32 +351,36 @@ std::vector<ExprPtr> Parser::parse_args() {
   return args;
 }
 
-ExprPtr Parser::parse_expr() { return parse_or(); }
+ExprPtr Parser::parse_expr() {
+  const Nest nest(*this, peek().loc);
+  return parse_or();
+}
 
 ExprPtr Parser::parse_or() {
   auto lhs = parse_and();
+  std::size_t h = height_;
   while (peek().is(Tok::KwOr)) {
     const SourceLoc loc = advance().loc;
     auto rhs = parse_and();
-    lhs = finish(std::make_unique<Binary>(BinOp::Or, std::move(lhs), std::move(rhs), loc,
-                                          module_.next_id()));
+    lhs = binary(BinOp::Or, std::move(lhs), std::move(rhs), loc, h);
   }
   return lhs;
 }
 
 ExprPtr Parser::parse_and() {
   auto lhs = parse_cmp();
+  std::size_t h = height_;
   while (peek().is(Tok::KwAnd)) {
     const SourceLoc loc = advance().loc;
     auto rhs = parse_cmp();
-    lhs = finish(std::make_unique<Binary>(BinOp::And, std::move(lhs), std::move(rhs), loc,
-                                          module_.next_id()));
+    lhs = binary(BinOp::And, std::move(lhs), std::move(rhs), loc, h);
   }
   return lhs;
 }
 
 ExprPtr Parser::parse_cmp() {
   auto lhs = parse_add();
+  std::size_t h = height_;
   for (;;) {
     BinOp op;
     switch (peek().kind) {
@@ -357,13 +394,13 @@ ExprPtr Parser::parse_cmp() {
     }
     const SourceLoc loc = advance().loc;
     auto rhs = parse_add();
-    lhs = finish(std::make_unique<Binary>(op, std::move(lhs), std::move(rhs), loc,
-                                          module_.next_id()));
+    lhs = binary(op, std::move(lhs), std::move(rhs), loc, h);
   }
 }
 
 ExprPtr Parser::parse_add() {
   auto lhs = parse_mul();
+  std::size_t h = height_;
   for (;;) {
     BinOp op;
     if (peek().is(Tok::Plus)) {
@@ -375,13 +412,13 @@ ExprPtr Parser::parse_add() {
     }
     const SourceLoc loc = advance().loc;
     auto rhs = parse_mul();
-    lhs = finish(std::make_unique<Binary>(op, std::move(lhs), std::move(rhs), loc,
-                                          module_.next_id()));
+    lhs = binary(op, std::move(lhs), std::move(rhs), loc, h);
   }
 }
 
 ExprPtr Parser::parse_mul() {
   auto lhs = parse_unary();
+  std::size_t h = height_;
   for (;;) {
     BinOp op;
     if (peek().is(Tok::Star)) {
@@ -395,43 +432,50 @@ ExprPtr Parser::parse_mul() {
     }
     const SourceLoc loc = advance().loc;
     auto rhs = parse_unary();
-    lhs = finish(std::make_unique<Binary>(op, std::move(lhs), std::move(rhs), loc,
-                                          module_.next_id()));
+    lhs = binary(op, std::move(lhs), std::move(rhs), loc, h);
   }
 }
 
 ExprPtr Parser::parse_unary() {
   const SourceLoc loc = peek().loc;
+  const Tok t = peek().kind;
+  if (t != Tok::Minus && t != Tok::KwNot && t != Tok::Star && t != Tok::Amp) {
+    return parse_postfix();
+  }
+  const Nest nest(*this, loc);
+  ExprPtr e;
   if (match(Tok::Minus)) {
-    return finish(std::make_unique<Unary>(UnOp::Neg, parse_unary(), loc, module_.next_id()));
-  }
-  if (match(Tok::KwNot)) {
-    return finish(std::make_unique<Unary>(UnOp::Not, parse_unary(), loc, module_.next_id()));
-  }
-  if (match(Tok::Star)) {
-    return finish(std::make_unique<Deref>(parse_unary(), loc, module_.next_id()));
-  }
-  if (match(Tok::Amp)) {
+    e = finish(std::make_unique<Unary>(UnOp::Neg, parse_unary(), loc, module_.next_id()));
+  } else if (match(Tok::KwNot)) {
+    e = finish(std::make_unique<Unary>(UnOp::Not, parse_unary(), loc, module_.next_id()));
+  } else if (match(Tok::Star)) {
+    e = finish(std::make_unique<Deref>(parse_unary(), loc, module_.next_id()));
+  } else {
+    advance();  // '&'
     auto lv = parse_unary();
     if (!is_lvalue(*lv)) diags_.error(loc, "'&' requires an lvalue operand");
-    return finish(std::make_unique<AddrOf>(std::move(lv), loc, module_.next_id()));
+    e = finish(std::make_unique<AddrOf>(std::move(lv), loc, module_.next_id()));
   }
-  return parse_postfix();
+  height_ = grow(height_ + 1, loc);
+  return e;
 }
 
 ExprPtr Parser::parse_postfix() {
   auto e = parse_primary();
+  std::size_t h = height_;
   while (peek().is(Tok::LBracket)) {
     const SourceLoc loc = advance().loc;
     auto idx = parse_expr();
     expect(Tok::RBracket, "after index");
     e = finish(std::make_unique<Index>(std::move(e), std::move(idx), loc, module_.next_id()));
+    h = height_ = grow(std::max(h, height_) + 1, loc);
   }
   return e;
 }
 
 ExprPtr Parser::parse_primary() {
   const Token& t = peek();
+  height_ = 1;
   switch (t.kind) {
     case Tok::Int:
       advance();
@@ -466,11 +510,15 @@ ExprPtr Parser::parse_primary() {
       }
       expect(Tok::RParen, "after parameters");
       ++fun_depth_;
+      const std::size_t outer_reach = std::exchange(reach_, depth_);
       auto body = parse_block();
+      const std::size_t body_height = reach_ - depth_;
+      reach_ = std::max(outer_reach, reach_);
       --fun_depth_;
       FunDecl* decl = module_.add_function(std::make_unique<FunDecl>(
           Symbol(), std::move(params), std::move(body), t.loc,
           static_cast<std::uint32_t>(module_.functions().size())));
+      height_ = grow(body_height + 1, t.loc);
       return finish(std::make_unique<FunLit>(decl, t.loc, module_.next_id()));
     }
     case Tok::KwAlloc:

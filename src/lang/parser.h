@@ -24,8 +24,16 @@
 //
 // Restrictions enforced here (see ast.h): `alloc` only as a whole RHS, calls
 // only at statement level with a syntactically primary callee.
+//
+// Nesting limit: no AST path may run deeper than kMaxNesting levels, counting
+// statement nesting, parentheses, unary operators and every operator of a
+// left-associative chain (`1 + 1 + ... + 1` nests as deep as it is long).
+// Past it the parser reports `nesting-too-deep` and stops, so every
+// recursive pass over the AST (resolver, lowerer, printer, concrete and
+// abstract evaluators) recurses a bounded number of levels.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -38,12 +46,41 @@ namespace copar::lang {
 
 class Parser {
  public:
+  /// Deepest AST nesting accepted. Each level costs the parser about ten
+  /// stack frames, which the 8 MiB main-thread stack holds with room to
+  /// spare even under AddressSanitizer.
+  static constexpr std::size_t kMaxNesting = 256;
+
   Parser(std::vector<Token> tokens, Module& module, DiagnosticEngine& diags);
 
   /// Parses a whole module; on syntax errors, reports and recovers at ';'.
+  /// Stops at the first nesting-too-deep error.
   void parse_module();
 
  private:
+  /// Thrown once nesting-too-deep is reported; unwinds to parse_module.
+  struct NestingTooDeep {};
+
+  /// One level of recursive nesting (a statement, a parenthesized or
+  /// argument expression, a unary operand) for as long as it is parsed.
+  class Nest {
+   public:
+    Nest(Parser& p, SourceLoc loc);
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
+  [[noreturn]] void too_deep(SourceLoc loc);
+  /// Checks a node of height `h` built at the current depth; returns `h`.
+  std::size_t grow(std::size_t h, SourceLoc loc);
+  /// Builds `lhs op rhs`; `lhs_height` is the height of `lhs` and becomes
+  /// that of the result (height_ holds the height of `rhs`, then the result).
+  ExprPtr binary(BinOp op, ExprPtr lhs, ExprPtr rhs, SourceLoc loc, std::size_t& lhs_height);
+
   const Token& peek(std::size_t ahead = 0) const;
   const Token& advance();
   bool match(Tok t);
@@ -89,6 +126,13 @@ class Parser {
   Module& module_;
   DiagnosticEngine& diags_;
   int fun_depth_ = 0;
+  /// Nesting levels in flight.
+  std::size_t depth_ = 0;
+  /// Height of the expression the last expression production returned.
+  std::size_t height_ = 0;
+  /// Deepest level (depth + height) reached so far: a function literal's
+  /// height is how far its body reaches below it.
+  std::size_t reach_ = 0;
   /// End position of the most recently consumed token.
   SourceLoc prev_end_;
 };

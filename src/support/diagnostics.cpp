@@ -38,12 +38,13 @@ std::string_view severity_name(Severity s) {
   return "error";
 }
 
-void DiagnosticEngine::report(Severity sev, SourceLoc loc, std::string message) {
+void DiagnosticEngine::report(Severity sev, SourceLoc loc, std::string message,
+                              std::string_view code) {
   Diagnostic d;
   d.severity = sev;
   d.loc = loc;
   d.message = std::move(message);
-  d.code = "syntax";
+  d.code = code;
   d.span = SourceSpan::at(loc);
   if (sev == Severity::Error) ++error_count_;
   diags_.push_back(std::move(d));
@@ -144,8 +145,9 @@ void DiagnosticEngine::sort_by_location() {
 std::string DiagnosticEngine::to_string() const {
   std::ostringstream os;
   for (const Diagnostic& d : diags_) {
-    os << copar::to_string(d.loc) << ": " << severity_name(d.severity) << ": " << d.message
-       << '\n';
+    os << copar::to_string(d.loc) << ": " << severity_name(d.severity);
+    if (d.code != "syntax") os << " [" << d.code << "]";
+    os << ": " << d.message << '\n';
   }
   return os.str();
 }

@@ -100,7 +100,8 @@ struct RuleInfo {
 class DiagnosticEngine {
  public:
   // --- reporting ----------------------------------------------------------
-  void report(Severity sev, SourceLoc loc, std::string message);
+  void report(Severity sev, SourceLoc loc, std::string message,
+              std::string_view code = "syntax");
   void error(SourceLoc loc, std::string message) { report(Severity::Error, loc, std::move(message)); }
   void warning(SourceLoc loc, std::string message) { report(Severity::Warning, loc, std::move(message)); }
 

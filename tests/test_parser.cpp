@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/lang/parser.h"
 #include "src/lang/printer.h"
 
@@ -218,6 +220,57 @@ TEST(Parser, MissingSemicolonReported) {
 TEST(Parser, PointerArithmeticExpressions) {
   auto m = ok("var p; var x; fun main() { x = *(p + 1); }");
   EXPECT_EQ(m->find_function("main")->body().stmts().size(), 1u);
+}
+
+// --- nesting limit ----------------------------------------------------------
+
+std::string repeat(std::string_view s, std::size_t n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (std::size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// Parses `src`, expecting exactly one error: nesting-too-deep.
+void too_deep(const std::string& src) {
+  DiagnosticEngine diags;
+  (void)parse_program(src, diags);
+  ASSERT_EQ(diags.all().size(), 1u) << diags.to_string();
+  EXPECT_EQ(diags.all()[0].code, "nesting-too-deep");
+  EXPECT_NE(diags.to_string().find("[nesting-too-deep]"), std::string::npos);
+}
+
+TEST(ParserNesting, HundredThousandParenthesesStopAtTheLimit) {
+  constexpr std::size_t kLevels = 100000;
+  too_deep("var x; fun main() { x = " + repeat("(", kLevels) + "1" + repeat(")", kLevels) +
+           "; }");
+}
+
+TEST(ParserNesting, BlocksUnaryOperatorsAndIndexesAreBounded) {
+  constexpr std::size_t kLevels = 100000;
+  too_deep("fun main() " + repeat("{", kLevels) + repeat("}", kLevels));
+  too_deep("fun main() { " + repeat("while (1) ", kLevels) + "skip; }");
+  too_deep("var x; fun main() { x = " + repeat("- ", kLevels) + "1; }");
+  too_deep("var a; fun main() { a = " + repeat("a[", kLevels) + "0" + repeat("]", kLevels) +
+           "; }");
+}
+
+TEST(ParserNesting, OperatorChainsCountTheirLength) {
+  // A left-associative chain nests as deep as it is long.
+  too_deep("var x; fun main() { x = 1" + repeat(" + 1", 100000) + "; }");
+  // Chains pushed down by enclosing chains add up.
+  too_deep("var x; fun main() { x = " + repeat("(", 2) + "1" + repeat(" * 1", 100) + ")" +
+           repeat(" + 1", 100) + ")" + repeat(" - 1", 100) + "; }");
+  // So do function literals whose bodies are deep.
+  too_deep("var f; fun main() { f = fun () { var y = 1" + repeat(" + 1", 200) + "; } " +
+           repeat(" + 1", 100) + "; }");
+}
+
+TEST(ParserNesting, ProgramsBelowTheLimitParse) {
+  constexpr std::size_t kLevels = Parser::kMaxNesting / 2;
+  ok("var x; fun main() { x = " + repeat("(", kLevels) + "1" + repeat(")", kLevels) + "; }");
+  ok("var x; fun main() { x = 1" + repeat(" + 1", kLevels) + "; }");
+  ok("fun main() " + repeat("{", kLevels) + repeat("}", kLevels));
 }
 
 }  // namespace
