@@ -11,18 +11,12 @@
 //   * --copar_json=PATH    — additionally enable the phase timers and
 //     write the JSON document to PATH instead of stdout
 //     (scripts/run_experiments.sh uses this to collect results/*.json).
-//   * --copar_sample=MS    — run the background gauge sampler every MS
-//     milliseconds for the whole benchmark run and include the bounded
-//     "timeline" in the JSON document. Exercises the sampler against the
-//     benchmark workloads; the live-gauge writes are the only overhead
-//     the timed loops see.
 #pragma once
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -104,26 +98,18 @@ inline void write_report(std::ostream& os, const char* binary,
   w.key("peak_rss_bytes");
   w.value(telemetry::peak_rss_bytes());
   w.end_object();
-  if (!telemetry::Telemetry::global().timeline().empty()) {
-    w.key("timeline");
-    telemetry::Telemetry::global().write_timeline_json(w);
-  }
   w.end_object();
   os << '\n';
 }
 
 inline int run_main(int argc, char** argv) {
   std::string json_path;
-  double sample_ms = 0;
   std::vector<char*> kept;
   for (int i = 0; i < argc; ++i) {
     const std::string_view a = argv[i];
     constexpr std::string_view kFlag = "--copar_json=";
-    constexpr std::string_view kSample = "--copar_sample=";
     if (a.rfind(kFlag, 0) == 0) {
       json_path = a.substr(kFlag.size());
-    } else if (a.rfind(kSample, 0) == 0) {
-      sample_ms = std::strtod(std::string(a.substr(kSample.size())).c_str(), nullptr);
     } else {
       kept.push_back(argv[i]);
     }
@@ -133,14 +119,12 @@ inline int run_main(int argc, char** argv) {
   // Phase timers only for explicit collection runs: the default invocation
   // measures the engines un-instrumented.
   if (!json_path.empty()) telemetry::Telemetry::global().enable_metrics();
-  if (sample_ms > 0) telemetry::Telemetry::global().start_sampler(sample_ms);
 
   benchmark::Initialize(&kept_argc, kept.data());
   if (benchmark::ReportUnrecognizedArguments(kept_argc, kept.data())) return 1;
   CapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  telemetry::Telemetry::global().stop_sampler();
 
   const char* binary = argc > 0 ? argv[0] : "bench";
   if (json_path.empty()) {

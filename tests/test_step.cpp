@@ -2,6 +2,9 @@
 // asserts, canonicalization.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/sem/cowstats.h"
 #include "tests/testutil.h"
 
 namespace copar::sem {
@@ -328,6 +331,54 @@ TEST(Step, CallingNonFunctionFaults) {
   const Configuration cfg = run_source("var x; fun main() { x = 3; x(); }", prog);
   ASSERT_EQ(cfg.faults.size(), 1u);
   EXPECT_EQ(static_cast<Fault>(cfg.faults.begin()->second), Fault::NotAFunction);
+}
+
+/// Runs the one-process program until its store holds `objects` objects,
+/// then fires the next action, which must be a one-cell global assign, and
+/// returns how many objects that transition cloned.
+std::uint64_t objects_copied_by_assign(const std::string& source, std::size_t objects) {
+  const auto prog = compile(source);
+  Configuration cfg = Configuration::initial(*prog->lowered);
+  for (int guard = 0; cfg.store.num_objects() != objects; ++guard) {
+    const ActionInfo info = action_info(cfg, 0);
+    if (guard == 100000 || !info.exists || !info.enabled) {
+      ADD_FAILURE() << "store never held " << objects << " objects";
+      return 0;
+    }
+    cfg = apply_action(cfg, info);
+  }
+  const ActionInfo info = action_info(cfg, 0);
+  EXPECT_TRUE(info.exists && info.enabled && info.kind == ActionKind::Assign);
+  const std::uint64_t before = cowstats::snapshot().objects_copied;
+  const Configuration succ = apply_action(cfg, info);
+  return cowstats::snapshot().objects_copied - before;
+}
+
+// Copy-on-write flatness: a transition clones only the objects it writes,
+// so a one-cell assign costs the same clones whatever else the store holds.
+TEST(Step, AssignCopiesAreFlatInObjectWidth) {
+  const auto wide = [](int cells) {
+    // globals + main frame + one `cells`-wide heap object
+    return objects_copied_by_assign("var a; var i = 0;\nfun main() {\n  a = alloc(" +
+                                        std::to_string(cells) + ");\n  i = 1;\n}\n",
+                                    3);
+  };
+  const std::uint64_t narrow = wide(4);
+  EXPECT_GE(narrow, 1u);
+  EXPECT_LT(narrow, 3u);  // the untouched heap object stays shared
+  EXPECT_EQ(wide(4096), narrow);
+}
+
+TEST(Step, AssignCopiesAreFlatInObjectCount) {
+  const auto many = [](std::size_t n) {
+    return objects_copied_by_assign("var a; var i = 0; var n = " + std::to_string(n) +
+                                        ";\nfun main() {\n  while (i < n) { a = alloc(4); "
+                                        "i = i + 1; }\n  i = 1;\n}\n",
+                                    2 + n);
+  };
+  const std::uint64_t few = many(4);
+  EXPECT_GE(few, 1u);
+  EXPECT_EQ(many(64), few);
 }
 
 }  // namespace

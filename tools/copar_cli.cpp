@@ -55,9 +55,13 @@
 //   --metrics-out <f>    after the run, write the metrics snapshot to `f`
 //                        (Prometheus text when `f` ends in .prom, JSON
 //                        otherwise)
+//
+// Exit codes: 0 success, 1 error (or error-severity findings from check),
+// 2 usage, 3 truncated exploration, 4 out of memory.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -1021,5 +1025,10 @@ int main(int argc, char** argv) {
   } catch (const copar::Error& e) {
     std::cerr << "error: " << e.what() << '\n';
     return finish(global, 1);
+  } catch (const std::bad_alloc&) {
+    // A program can ask for more memory than the host has (alloc of
+    // billions of cells); end with a coded exit instead of an abort.
+    std::cerr << "error: out of memory\n";
+    return finish(global, 4);
   }
 }
