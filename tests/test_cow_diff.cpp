@@ -25,6 +25,14 @@
 //     tmod_analyze × {Interval, FlatInt}
 //
 // The evaluation counters pin the iteration order, not only the fixpoint.
+// The concrete engines' counters are pinned as text, one row per cell of
+//
+//     samples × {Full, Stubborn} × {coarsen off/on} × {sleep off/on}, threads 1
+//
+// holding the configuration and transition counts and the exact
+// stats.to_string() text, and the witness search gets one row per sample
+// for a deadlock query and an any-terminal query under Full and Stubborn:
+// its WitnessStats and a digest of the returned Witness::to_string().
 // Regenerate (only when an *intentional* semantic change lands) with:
 //
 //     COPAR_UPDATE_GOLDENS=1 ./build/tests/test_cow_diff
@@ -36,6 +44,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -49,6 +58,7 @@
 #include "src/absem/tmod.h"
 #include "src/check/check.h"
 #include "src/explore/explorer.h"
+#include "src/explore/witness.h"
 #include "src/sem/program.h"
 #include "src/sem/step.h"
 #include "src/support/fingerprint.h"
@@ -317,6 +327,27 @@ void add_abs_rows(Matrix& m, const std::string& name, const sem::LoweredProgram&
 
 constexpr std::uint64_t kBudget = 300000;
 
+/// "<configs>/<transitions>/<counter text>" with the to_string() lines
+/// joined by ';' so the row stays one golden-file token.
+std::string counter_row(const explore::ExploreResult& r) {
+  std::string text = r.stats.to_string();
+  std::replace(text.begin(), text.end(), '\n', ';');
+  return std::to_string(r.num_configs) + "/" + std::to_string(r.num_transitions) + "/" + text;
+}
+
+/// The search effort, the truncation verdict, and a digest of the rendered
+/// schedule ("none" when no witness was found).
+std::string witness_row(const sem::LoweredProgram& prog, const explore::WitnessQuery& q) {
+  explore::WitnessStats stats;
+  const std::optional<explore::Witness> w = explore::find_witness(prog, q, &stats);
+  std::string row = "configs=" + std::to_string(stats.configs) +
+                    ";truncated=" + (stats.truncated ? "1" : "0") + ";";
+  if (!w.has_value()) return row + "none";
+  support::Fp128Hasher h;
+  hash_str(h, w->to_string(prog));
+  return row + fp_hex(h.finalize());
+}
+
 Matrix compute_matrix() {
   Matrix m;
   const fs::path dir = COPAR_SAMPLES_DIR;
@@ -345,6 +376,39 @@ Matrix compute_matrix() {
           m.rows[name + " " + cell] = r.truncated ? "truncated" : explore_digest(r);
         }
       }
+    }
+    for (const explore::Reduction red :
+         {explore::Reduction::Full, explore::Reduction::Stubborn}) {
+      for (const bool coarsen : {false, true}) {
+        for (const bool sleep : {false, true}) {
+          explore::ExploreOptions opts;
+          opts.reduction = red;
+          opts.coarsen = coarsen;
+          opts.sleep_sets = sleep;
+          opts.max_configs = kBudget;
+          std::string cell = red == explore::Reduction::Full ? "full" : "stubborn";
+          cell += coarsen ? "+coarsen" : "";
+          cell += sleep ? "+sleep" : "";
+          m.rows[name + " counters " + cell + " t1"] =
+              counter_row(explore::explore(*prog->lowered, opts));
+        }
+      }
+    }
+    {
+      // find_deadlock's query, under the shared budget (find_deadlock itself
+      // reports no WitnessStats).
+      explore::WitnessQuery q;
+      q.want_deadlock = true;
+      q.explore.max_configs = kBudget;
+      m.rows[name + " witness deadlock"] = witness_row(*prog->lowered, q);
+    }
+    for (const explore::Reduction red :
+         {explore::Reduction::Full, explore::Reduction::Stubborn}) {
+      explore::WitnessQuery q;
+      q.explore.reduction = red;
+      q.explore.max_configs = kBudget;
+      m.rows[name + " witness any " + (red == explore::Reduction::Full ? "full" : "stubborn")] =
+          witness_row(*prog->lowered, q);
     }
     m.rows[name + " check"] = check_digest(*prog, source, name);
     for (const check::Tier tier :
