@@ -61,8 +61,8 @@ void AbsExplorer<N>::enqueue(AbsControl ctrl, Store store) {
 
 template <NumDomain N>
 AbsResult<N> AbsExplorer<N>::run() {
-  StatRegistry::Counter evaluations = result_.stats.counter("abs_state_evaluations");
-  StatRegistry::Counter requeues = result_.stats.counter("abs_global_requeues");
+  std::uint64_t evaluations = 0;
+  std::uint64_t requeues = 0;
   telemetry::Telemetry& tel = telemetry::Telemetry::global();
   telemetry::ScopedPhase phase_folding(telemetry::Phase::Folding);
   AbsControl init;
@@ -74,7 +74,7 @@ AbsResult<N> AbsExplorer<N>::run() {
     const AbsControl& ctrl = *popped;
     const Store snapshot = states_.at(ctrl);  // copy: transfer only reads it
     transfer(ctrl, snapshot);
-    evaluations.add();
+    evaluations += 1;
     tel.maybe_progress(states_.size(), 0, work_.size());
     if (conts_grew_) {
       // A new call edge can retroactively give earlier Returns successors:
@@ -83,7 +83,7 @@ AbsResult<N> AbsExplorer<N>::run() {
       for (const auto& [c, s] : states_) {
         (void)work_.push(c, control_fingerprint(c));
       }
-      requeues.add();
+      requeues += 1;
     }
   }
 
@@ -91,6 +91,8 @@ AbsResult<N> AbsExplorer<N>::run() {
   result_.num_states = states_.size();
   result_.stats.set("abs_states", states_.size());
   result_.stats.set("abs_mhp_pairs", result_.mhp.size());
+  if (evaluations != 0) result_.stats.add("abs_state_evaluations", evaluations);
+  if (requeues != 0) result_.stats.add("abs_global_requeues", requeues);
   if (tel.metrics_enabled()) {
     // Byte estimate of the folded state table: per-state control points
     // plus abstract store bindings.

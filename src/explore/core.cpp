@@ -1,9 +1,12 @@
 #include "src/explore/core.h"
 
+#include <algorithm>
 #include <set>
 #include <string>
 
+#include "src/explore/stubborn.h"
 #include "src/support/diagnostics.h"
+#include "src/support/telemetry.h"
 
 namespace copar::explore {
 
@@ -24,7 +27,78 @@ std::string thread_context(const sem::Process& p) {
   return out;
 }
 
+/// True when `info`'s action touches a critical location class — the end
+/// of a coarsened step.
+bool action_is_critical(const Configuration& cfg, const ActionInfo& info,
+                        const StaticInfo& static_info) {
+  bool critical = false;
+  info.reads.for_each([&](std::size_t loc) {
+    critical = critical || static_info.is_critical(static_info.class_of(cfg.store, loc));
+  });
+  if (critical) return true;
+  info.writes.for_each([&](std::size_t loc) {
+    critical = critical || static_info.is_critical(static_info.class_of(cfg.store, loc));
+  });
+  return critical;
+}
+
+/// Every ExploreCounters field with its stats name.
+constexpr std::pair<const char*, std::uint64_t ExploreCounters::*> kCounterFields[] = {
+    {"stubborn_steps", &ExploreCounters::stubborn_steps},
+    {"stubborn_singletons", &ExploreCounters::stubborn_singletons},
+    {"stubborn_reduced_steps", &ExploreCounters::stubborn_reduced_steps},
+    {"proviso_full_expansions", &ExploreCounters::proviso_full_expansions},
+    {"coarsened_micro_actions", &ExploreCounters::coarsened_micro_actions},
+    {"coarsen_guard_hits", &ExploreCounters::coarsen_guard_hits},
+    {"truncated_transitions", &ExploreCounters::truncated_transitions},
+    {"sleep_suppressed_transitions", &ExploreCounters::sleep_suppressed_transitions},
+    {"sleep_reexplorations", &ExploreCounters::sleep_reexplorations},
+    {"sleep.pids_capped", &ExploreCounters::sleep_pids_capped},
+};
+
 }  // namespace
+
+ExploreCounters& ExploreCounters::operator+=(const ExploreCounters& other) {
+  for (const auto& [name, field] : kCounterFields) this->*field += other.*field;
+  return *this;
+}
+
+void ExploreCounters::write_to(StatRegistry& stats) const {
+  for (const auto& [name, field] : kCounterFields) {
+    if (this->*field != 0) stats.add(name, this->*field);
+  }
+}
+
+const ActionInfo& Expansion::info(Pid pid) const {
+  const auto it = std::lower_bound(infos.begin(), infos.end(), pid,
+                                   [](const ActionInfo& i, Pid p) { return i.pid < p; });
+  require(it != infos.end() && it->pid == pid, "Expansion::info: process not live");
+  return *it;
+}
+
+Expansion expand_state(const Configuration& cfg, const StaticInfo& static_info,
+                       Reduction reduction, ExploreCounters& counters) {
+  Expansion e;
+  e.infos = sem::all_action_infos(cfg);
+  for (const ActionInfo& info : e.infos) {
+    if (info.enabled) e.enabled.push_back(info.pid);
+  }
+  if (reduction == Reduction::Full || e.enabled.size() <= 1) {
+    e.fire = e.enabled;
+    return e;
+  }
+  StubbornChoice choice;
+  {
+    telemetry::ScopedPhase phase(telemetry::Phase::Stubborn);
+    choice = stubborn_set(cfg, e.infos, static_info);
+  }
+  counters.stubborn_steps += 1;
+  if (choice.expand.size() == 1) counters.stubborn_singletons += 1;
+  if (!choice.is_full) counters.stubborn_reduced_steps += 1;
+  e.reduced = !choice.is_full;
+  e.fire = std::move(choice.expand);
+  return e;
+}
 
 std::string LocKey::to_string() const {
   switch (kind) {
@@ -167,7 +241,7 @@ void Recorder::merge_into(ExploreResult& result) const {
 }
 
 Configuration core_step(const Configuration& cfg, Pid pid, const StaticInfo& static_info,
-                        bool coarsen, Recorder& rec, StepCounters& counters,
+                        bool coarsen, Recorder& rec, ExploreCounters& counters,
                         const sem::ActionInfo* info_hint) {
   const bool facts = rec.wants_step_facts();
   Configuration succ = [&] {
@@ -219,6 +293,46 @@ Configuration core_step(const Configuration& cfg, Pid pid, const StaticInfo& sta
                   "run is unusually long (see the coarsen_guard_hits counter)");
   }
   return succ;
+}
+
+std::string terminal_key(const Configuration& cfg) {
+  telemetry::ScopedPhase phase(telemetry::Phase::Canonicalize);
+  return cfg.canonical_key();
+}
+
+void finish_explore(ExploreResult& result, const ExploreCounters& counters,
+                    const Footprint& footprint, const sem::cowstats::Snapshot& cow_at_start) {
+  result.graph.num_nodes = result.num_configs;
+  result.stats.set("configs", result.num_configs);
+  result.stats.set("transitions", result.num_transitions);
+  result.stats.set("terminals", result.terminals.size());
+  result.stats.set("deadlocks", result.deadlock_found ? 1 : 0);
+  counters.write_to(result.stats);
+
+  // Dedup-structure and COW gauges are cheap to read, so they are published
+  // unconditionally (benchmarks compare them with metrics off); only the
+  // getrusage call stays behind the metrics switch.
+  result.stats.set_gauge("visited_bytes", footprint.visited_bytes);
+  result.stats.set_gauge("visited_configs", footprint.visited_configs);
+  result.stats.set_gauge("fingerprint_collisions", footprint.fingerprint_collisions);
+  const sem::cowstats::Snapshot cow = sem::cowstats::snapshot();
+  result.stats.set_gauge("cow.objects_copied", cow.objects_copied - cow_at_start.objects_copied);
+  result.stats.set_gauge("cow.objects_shared", cow.objects_shared - cow_at_start.objects_shared);
+  result.stats.set_gauge("cow.process_clones", cow.process_clones - cow_at_start.process_clones);
+  result.stats.set_gauge("frontier_peak_bytes", footprint.frontier_peak_bytes);
+  telemetry::Telemetry& tel = telemetry::Telemetry::global();
+  if (tel.metrics_enabled()) result.stats.set_gauge("peak_rss_bytes", telemetry::peak_rss_bytes());
+  if (tel.live_enabled()) {
+    // Close the live view on the final numbers so the sampler's last sample
+    // (taken on stop) reflects the completed run.
+    tel.set_live(telemetry::Gauge::Configs, result.num_configs);
+    tel.set_live(telemetry::Gauge::Transitions, result.num_transitions);
+    tel.set_live(telemetry::Gauge::VisitedEntries, footprint.visited_configs);
+    tel.set_live(telemetry::Gauge::VisitedBytes, footprint.visited_bytes);
+    tel.set_live(telemetry::Gauge::Frontier, 0);
+    tel.set_live(telemetry::Gauge::FrontierBytes, sem::cowstats::live_bytes());
+  }
+  tel.publish_stats(result.stats);
 }
 
 }  // namespace copar::explore

@@ -1,6 +1,5 @@
 #include "src/explore/explorer.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "src/explore/core.h"
@@ -14,7 +13,6 @@
 namespace copar::explore {
 
 using sem::ActionInfo;
-using sem::ActionKind;
 using sem::Configuration;
 using sem::Pid;
 
@@ -34,43 +32,9 @@ std::set<std::int64_t> ExploreResult::terminal_int_values(std::string_view name)
   return values;
 }
 
-Explorer::Explorer(const sem::LoweredProgram& program, ExploreOptions options)
-    : program_(program), options_(options), static_info_(program) {}
+namespace {
 
-bool action_is_critical(const Configuration& cfg, const ActionInfo& info,
-                        const StaticInfo& static_info) {
-  bool critical = false;
-  info.reads.for_each([&](std::size_t loc) {
-    critical = critical || static_info.is_critical(static_info.class_of(cfg.store, loc));
-  });
-  if (critical) return true;
-  info.writes.for_each([&](std::size_t loc) {
-    critical = critical || static_info.is_critical(static_info.class_of(cfg.store, loc));
-  });
-  return critical;
-}
-
-std::vector<Pid> Explorer::choose_expansion(const Configuration& cfg,
-                                            const std::vector<ActionInfo>& infos,
-                                            ExploreResult& result) const {
-  std::vector<Pid> enabled;
-  for (const ActionInfo& info : infos) {
-    if (info.enabled) enabled.push_back(info.pid);
-  }
-  if (options_.reduction == Reduction::Full || enabled.size() <= 1) return enabled;
-
-  (void)result;  // counters live in hot_, pre-resolved against result.stats
-  const StubbornChoice choice = [&] {
-    telemetry::ScopedPhase phase(telemetry::Phase::Stubborn);
-    return stubborn_set(cfg, infos, static_info_);
-  }();
-  hot_.stubborn_steps.add();
-  if (choice.expand.size() == 1) hot_.stubborn_singletons.add();
-  if (!choice.is_full) hot_.stubborn_reduced_steps.add();
-  return choice.expand;
-}
-
-struct Explorer::StackEntry {
+struct StackEntry {
   Configuration cfg;
   std::uint32_t id = 0;
   std::vector<Pid> expand;
@@ -81,24 +45,19 @@ struct Explorer::StackEntry {
   std::set<Pid> sleep;
 };
 
-ExploreResult Explorer::run() {
+}  // namespace
+
+ExploreResult sequential_explore(const sem::LoweredProgram& program,
+                                 const ExploreOptions& options) {
+  const StaticInfo static_info(program);
   ExploreResult result;
-  hot_ = HotCounters{
-      result.stats.counter("stubborn_steps"),
-      result.stats.counter("stubborn_singletons"),
-      result.stats.counter("stubborn_reduced_steps"),
-      result.stats.counter("sleep_suppressed_transitions"),
-      result.stats.counter("proviso_full_expansions"),
-      result.stats.counter("sleep_reexplorations"),
-      result.stats.counter("truncated_transitions"),
-  };
+  ExploreCounters counters;
   telemetry::Telemetry& tel = telemetry::Telemetry::global();
   telemetry::ScopedPhase phase_expansion(telemetry::Phase::Expansion);
   const sem::cowstats::Snapshot cow0 = sem::cowstats::snapshot();
   std::uint64_t frontier_peak_bytes = 0;
-  VisitedSet visited(options_.exact_keys);
-  Recorder recorder(options_);
-  StepCounters step_counters;
+  VisitedSet visited(options.exact_keys);
+  Recorder recorder(options);
   DfsStackProviso proviso;
   std::vector<StackEntry> stack;
 
@@ -119,43 +78,35 @@ ExploreResult Explorer::run() {
     for (std::uint32_t v : cfg.violations) result.violations.insert(v);
     for (const auto& f : cfg.faults) result.faults.insert(f);
 
-    const std::vector<ActionInfo> infos = sem::all_action_infos(cfg);
-    const bool any_enabled =
-        std::any_of(infos.begin(), infos.end(), [](const ActionInfo& i) { return i.enabled; });
-    if (!any_enabled) {
+    Expansion e = expand_state(cfg, static_info, options.reduction, counters);
+    if (e.enabled.empty()) {
       const bool deadlock = cfg.num_live() > 0;
       result.deadlock_found = result.deadlock_found || deadlock;
       recorder.terminal_lifetimes(cfg);
-      if (options_.record_graph) {
+      if (options.record_graph) {
         result.graph.terminal_nodes.push_back(id);
         if (deadlock) result.graph.deadlock_nodes.push_back(id);
       }
-      if (options_.sleep_sets) {
+      if (options.sleep_sets) {
         sleep_store.emplace_back();
         cfg_store.push_back(cfg);
       }
-      // Terminals are few; materializing their full keys here is the only
-      // place fingerprint mode still serializes a canonical key.
-      std::string key;
-      {
-        telemetry::ScopedPhase phase_canon(telemetry::Phase::Canonicalize);
-        key = cfg.canonical_key();
-      }
+      std::string key = terminal_key(cfg);
       result.terminals.emplace(std::move(key), TerminalInfo{std::move(cfg), deadlock});
       return id;
     }
-    recorder.pairs(infos);
+    recorder.pairs(e.infos);
 
     StackEntry entry;
     entry.cfg = std::move(cfg);
     entry.id = id;
-    entry.expand = choose_expansion(entry.cfg, infos, result);
-    if (options_.sleep_sets) {
+    entry.expand = std::move(e.fire);
+    if (options.sleep_sets) {
       sleep_store.push_back(sleep);
       cfg_store.push_back(entry.cfg);
       std::erase_if(entry.expand, [&](Pid p) {
         const bool sleeping = sleep.contains(p);
-        if (sleeping) hot_.sleep_suppressed_transitions.add();
+        if (sleeping) counters.sleep_suppressed_transitions += 1;
         return sleeping;
       });
       entry.sleep = std::move(sleep);
@@ -166,7 +117,7 @@ ExploreResult Explorer::run() {
     return id;
   };
 
-  Configuration init = Configuration::initial(program_);
+  Configuration init = Configuration::initial(program);
   VisitedSet::Probe init_probe;
   {
     telemetry::ScopedPhase phase_canon(telemetry::Phase::Canonicalize);
@@ -185,22 +136,16 @@ ExploreResult Explorer::run() {
     const Pid pid = top.expand[top.next++];
     const std::uint32_t from_id = top.id;
 
-    // Capture edge metadata before stepping; sleep sets also need the fired
-    // action for independence filtering.
-    sem::ActionKind edge_kind = ActionKind::None;
-    std::uint32_t edge_stmt = sem::kNoStmt;
+    // The fired action labels the graph edge; sleep sets also need it for
+    // independence filtering.
     ActionInfo fired;
-    const bool have_fired = options_.record_graph || options_.sleep_sets;
-    if (have_fired) {
-      fired = sem::action_info(top.cfg, pid);
-      edge_kind = fired.kind;
-      edge_stmt = fired.stmt_id;
-    }
+    const bool have_fired = options.record_graph || options.sleep_sets;
+    if (have_fired) fired = sem::action_info(top.cfg, pid);
 
     // Successor sleep set: surviving (independent) entries of this state's
     // sleep plus the earlier-fired siblings that are independent of `pid`.
     std::set<Pid> succ_sleep;
-    if (options_.sleep_sets) {
+    if (options.sleep_sets) {
       auto keep_if_independent = [&](Pid t) {
         const ActionInfo other = sem::action_info(top.cfg, t);
         if (!other.exists) return;
@@ -210,8 +155,8 @@ ExploreResult Explorer::run() {
       for (std::size_t i = 0; i < fire_index; ++i) keep_if_independent(top.expand[i]);
     }
 
-    Configuration succ = core_step(top.cfg, pid, static_info_, options_.coarsen, recorder,
-                                   step_counters, have_fired ? &fired : nullptr);
+    Configuration succ = core_step(top.cfg, pid, static_info, options.coarsen, recorder,
+                                   counters, have_fired ? &fired : nullptr);
     result.num_transitions += 1;
     const std::uint64_t live_bytes = sem::cowstats::live_bytes();
     if (live_bytes > frontier_peak_bytes) frontier_peak_bytes = live_bytes;
@@ -228,7 +173,7 @@ ExploreResult Explorer::run() {
       to_id = probe.id;
       // Stack proviso (ignoring problem): a reduced expansion that closes a
       // cycle on the DFS stack re-expands the source state fully.
-      if (options_.reduction == Reduction::Stubborn && proviso.on_stack(to_id)) {
+      if (options.reduction == Reduction::Stubborn && proviso.on_stack(to_id)) {
         StackEntry& cur = stack.back();
         if (!cur.expanded_full) {
           cur.expanded_full = true;
@@ -238,21 +183,16 @@ ExploreResult Explorer::run() {
           for (const ActionInfo& info : sem::all_action_infos(cur.cfg)) {
             if (info.enabled) cur.expand.push_back(info.pid);
           }
-          hot_.proviso_full_expansions.add();
+          counters.proviso_full_expansions += 1;
         }
       }
       // Sleep revisit rule: transitions sleeping on the first visit but
       // awake now must be explored from the stored configuration.
-      if (options_.sleep_sets) {
+      if (options.sleep_sets) {
         std::set<Pid> missing;
-        for (Pid t : sleep_store[to_id]) {
-          if (!succ_sleep.contains(t)) missing.insert(t);
-        }
+        std::set<Pid> narrowed;
+        for (Pid t : sleep_store[to_id]) (succ_sleep.contains(t) ? narrowed : missing).insert(t);
         if (!missing.empty()) {
-          std::set<Pid> narrowed;
-          for (Pid t : sleep_store[to_id]) {
-            if (succ_sleep.contains(t)) narrowed.insert(t);
-          }
           sleep_store[to_id] = narrowed;
           StackEntry redo;
           redo.cfg = cfg_store[to_id];
@@ -265,73 +205,39 @@ ExploreResult Explorer::run() {
           if (!redo.expand.empty()) {
             proviso.enter(to_id);
             stack.push_back(std::move(redo));
-            hot_.sleep_reexplorations.add();
+            counters.sleep_reexplorations += 1;
           }
         }
       }
     } else {
-      if (result.num_configs >= options_.max_configs) {
+      if (result.num_configs >= options.max_configs) {
         // The transition was fired but its successor is dropped: take it
         // back out of both the visited set and num_transitions so the
         // invariant graph.edges.size() == num_transitions survives
         // truncation, and account for the drop separately.
         visited.erase(probe, succ);
         result.num_transitions -= 1;
-        hot_.truncated_transitions.add();
+        counters.truncated_transitions += 1;
         result.truncated = true;
         break;
       }
       to_id = register_config(std::move(succ), probe.id, std::move(succ_sleep));
     }
-    if (options_.record_graph) {
-      result.graph.edges.push_back(StateGraph::Edge{from_id, to_id, edge_stmt, edge_kind});
+    if (options.record_graph) {
+      result.graph.edges.push_back(StateGraph::Edge{from_id, to_id, fired.stmt_id, fired.kind});
     }
   }
 
   recorder.merge_into(result);
-  result.graph.num_nodes = result.num_configs;
-  result.stats.set("configs", result.num_configs);
-  result.stats.set("transitions", result.num_transitions);
-  result.stats.set("terminals", result.terminals.size());
-  result.stats.set("deadlocks", result.deadlock_found ? 1 : 0);
-  if (step_counters.coarsened_micro_actions != 0) {
-    result.stats.add("coarsened_micro_actions", step_counters.coarsened_micro_actions);
-  }
-  if (step_counters.coarsen_guard_hits != 0) {
-    result.stats.add("coarsen_guard_hits", step_counters.coarsen_guard_hits);
-  }
-
-  // Dedup-structure gauges are cheap to read off the VisitedSet, so they
-  // are published unconditionally (benchmarks compare them with metrics
-  // off); only the getrusage call stays behind the metrics switch.
-  result.stats.set_gauge("visited_bytes", visited.memory_bytes());
-  result.stats.set_gauge("visited_configs", visited.size());
-  result.stats.set_gauge("fingerprint_collisions", visited.collisions());
-  {
-    const sem::cowstats::Snapshot cow1 = sem::cowstats::snapshot();
-    result.stats.set_gauge("cow.objects_copied", cow1.objects_copied - cow0.objects_copied);
-    result.stats.set_gauge("cow.objects_shared", cow1.objects_shared - cow0.objects_shared);
-    result.stats.set_gauge("cow.process_clones", cow1.process_clones - cow0.process_clones);
-    result.stats.set_gauge("frontier_peak_bytes", frontier_peak_bytes);
-  }
-  if (tel.metrics_enabled()) {
-    result.stats.set_gauge("peak_rss_bytes", telemetry::peak_rss_bytes());
-  }
-  if (tel.live_enabled()) {
-    tel.set_live(telemetry::Gauge::Configs, result.num_configs);
-    tel.set_live(telemetry::Gauge::Transitions, result.num_transitions);
-    tel.set_live(telemetry::Gauge::VisitedEntries, visited.size());
-    tel.set_live(telemetry::Gauge::VisitedBytes, visited.memory_bytes());
-    tel.set_live(telemetry::Gauge::Frontier, 0);
-    tel.set_live(telemetry::Gauge::FrontierBytes, sem::cowstats::live_bytes());
-  }
-  tel.publish_stats(result.stats);
+  finish_explore(result, counters,
+                 {visited.memory_bytes(), visited.size(), visited.collisions(), frontier_peak_bytes},
+                 cow0);
   return result;
 }
 
 ExploreResult explore(const sem::LoweredProgram& program, const ExploreOptions& options) {
   if (options.threads > 1) return parallel_explore(program, options);
-  return Explorer(program, options).run();
+  return sequential_explore(program, options);
 }
 
 std::string to_dot(const StateGraph& graph, const sem::LoweredProgram& prog) {

@@ -72,11 +72,6 @@ struct ExploreOptions {
 /// coarsen_guard_hits counter and the one-time `coarsen-guard` warning).
 inline constexpr int kCoarsenGuardMax = 4096;
 
-/// True when `info`'s action touches a critical location class. Shared by
-/// the sequential and parallel engines' coarsening loops.
-[[nodiscard]] bool action_is_critical(const sem::Configuration& cfg, const sem::ActionInfo& info,
-                                      const StaticInfo& static_info);
-
 struct TerminalInfo {
   sem::Configuration config;
   bool deadlock = false;
@@ -137,44 +132,12 @@ struct ExploreResult {
   [[nodiscard]] std::set<std::int64_t> terminal_int_values(std::string_view name) const;
 };
 
-class Explorer {
- public:
-  Explorer(const sem::LoweredProgram& program, ExploreOptions options);
-
-  [[nodiscard]] ExploreResult run();
-
-  [[nodiscard]] const StaticInfo& static_info() const noexcept { return static_info_; }
-
- private:
-  struct StackEntry;
-
-  [[nodiscard]] std::vector<sem::Pid> choose_expansion(const sem::Configuration& cfg,
-                                                       const std::vector<sem::ActionInfo>& infos,
-                                                       ExploreResult& result) const;
-
-  /// Hot-loop counters, pre-resolved once per run() so the per-step path
-  /// pays an increment instead of a string map lookup. Handles are lazy:
-  /// a counter that never fires stays absent from the result's stats,
-  /// keeping StatRegistry::to_string() output identical to the eager API.
-  struct HotCounters {
-    StatRegistry::Counter stubborn_steps;
-    StatRegistry::Counter stubborn_singletons;
-    StatRegistry::Counter stubborn_reduced_steps;
-    StatRegistry::Counter sleep_suppressed_transitions;
-    StatRegistry::Counter proviso_full_expansions;
-    StatRegistry::Counter sleep_reexplorations;
-    StatRegistry::Counter truncated_transitions;
-  };
-
-  const sem::LoweredProgram& program_;
-  ExploreOptions options_;
-  StaticInfo static_info_;
-  /// Bound to the current run()'s ExploreResult; mutable because
-  /// choose_expansion is logically const but counts its decisions.
-  mutable HotCounters hot_;
-};
-
-/// Convenience one-shot wrapper.
+/// Explores `program`: the sequential DFS engine when options.threads is 1,
+/// the work-stealing engine (parallel_explore, parexplore.h) otherwise.
 ExploreResult explore(const sem::LoweredProgram& program, const ExploreOptions& options);
+
+/// The sequential DFS engine with the stack proviso (threads is ignored).
+ExploreResult sequential_explore(const sem::LoweredProgram& program,
+                                 const ExploreOptions& options);
 
 }  // namespace copar::explore

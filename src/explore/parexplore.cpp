@@ -53,26 +53,13 @@ struct EdgeFp {
   ActionKind kind = ActionKind::None;
 };
 
-/// Worker-local counters, merged (summed / unioned) after the join.
-struct WorkerStats {
+/// Everything one worker accumulates privately, merged (summed / unioned)
+/// after the join. The vectors feed the deterministic post-join merges.
+struct WorkerCtx {
+  ExploreCounters counters;
   std::uint64_t transitions = 0;
-  std::uint64_t stubborn_steps = 0;
-  std::uint64_t stubborn_singletons = 0;
-  std::uint64_t stubborn_reduced_steps = 0;
-  std::uint64_t proviso_full_expansions = 0;
-  std::uint64_t truncated_transitions = 0;
-  std::uint64_t sleep_suppressed_transitions = 0;
-  std::uint64_t sleep_reexplorations = 0;
-  std::uint64_t sleep_pids_capped = 0;
   std::set<std::uint32_t> violations;
   std::set<std::pair<std::uint32_t, std::uint8_t>> faults;
-};
-
-/// Everything one worker accumulates privately. The vectors feed the
-/// deterministic post-join merges.
-struct WorkerCtx {
-  WorkerStats stats;
-  StepCounters steps;
   Recorder recorder;
   std::vector<EdgeFp> edges;              // record_graph
   std::vector<Fingerprint> node_fps;      // record_graph: admitted states
@@ -137,7 +124,6 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
   // cause extra full expansions in the proviso.
   auto admit = [&](Configuration&& succ, std::uint64_t succ_sleep, unsigned widx) -> Admit {
     WorkerCtx& ctx = ctxs[widx];
-    WorkerStats& ws = ctx.stats;
     Admit a;
     {
       // Per-thread phase timer: the worker's own Canonicalize track (self
@@ -149,7 +135,7 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
       if (options.sleep_sets) {
         const auto n = seen.narrow_sleep(a.fp, succ_sleep);
         if (n.wake != 0) {
-          ws.sleep_reexplorations += 1;
+          ctx.counters.sleep_reexplorations += 1;
           frontier.push(widx, WorkItem{std::move(succ), a.fp, n.remaining, n.wake});
         }
       }
@@ -163,8 +149,8 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
       a.dropped = true;
       return a;
     }
-    for (std::uint32_t v : succ.violations) ws.violations.insert(v);
-    for (const auto& f : succ.faults) ws.faults.insert(f);
+    for (std::uint32_t v : succ.violations) ctx.violations.insert(v);
+    for (const auto& f : succ.faults) ctx.faults.insert(f);
     if (options.record_graph) ctx.node_fps.push_back(a.fp);
     frontier.push(widx, WorkItem{std::move(succ), a.fp, succ_sleep, 0});
     a.fresh = true;
@@ -173,15 +159,14 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
 
   auto expand = [&](WorkItem& item, unsigned widx) {
     WorkerCtx& ctx = ctxs[widx];
-    WorkerStats& ws = ctx.stats;
     const Configuration& cfg = item.cfg;
-    const std::vector<ActionInfo> infos = sem::all_action_infos(cfg);
-    std::vector<Pid> enabled;
-    for (const ActionInfo& info : infos) {
-      if (info.enabled) enabled.push_back(info.pid);
-    }
+    // A sleep revisit redo fires exactly the awakened transitions: the
+    // first visit already did pair recording and the stubborn choice.
+    Expansion e = expand_state(cfg, static_info,
+                               item.redo != 0 ? Reduction::Full : options.reduction, ctx.counters);
+    std::vector<Pid>& expansion = e.fire;
 
-    if (enabled.empty()) {
+    if (e.enabled.empty()) {
       // Terminal (completion or deadlock). A redo item of a terminal has
       // nothing to re-fire, and the terminal was recorded on first visit.
       if (item.redo != 0) return;
@@ -191,46 +176,24 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
         ctx.terminal_fps.push_back(item.fp);
         if (deadlock) ctx.deadlock_fps.push_back(item.fp);
       }
-      // Full keys are materialized only here — terminals are few.
-      std::string key;
-      {
-        telemetry::ScopedPhase phase(telemetry::Phase::Canonicalize);
-        key = cfg.canonical_key();
-      }
+      std::string key = terminal_key(cfg);
       const std::scoped_lock lock(result_mu);
       result.deadlock_found = result.deadlock_found || deadlock;
       result.terminals.emplace(std::move(key), TerminalInfo{cfg, deadlock});
       return;
     }
 
-    std::vector<Pid> expansion;
-    bool reduced = false;
     if (item.redo != 0) {
-      // Sleep revisit redo: fire exactly the awakened transitions; the
-      // first visit already did pair recording and the stubborn choice.
-      for (const Pid pid : enabled) {
-        if (pid < kMaxSleepPid && ((item.redo >> pid) & 1) != 0) expansion.push_back(pid);
-      }
+      std::erase_if(expansion, [&](Pid p) {
+        return p >= kMaxSleepPid || ((item.redo >> p) & 1) == 0;
+      });
       if (expansion.empty()) return;
     } else {
-      ctx.recorder.pairs(infos);
-      expansion = enabled;
-      if (options.reduction == Reduction::Stubborn && enabled.size() > 1) {
-        StubbornChoice choice;
-        {
-          telemetry::ScopedPhase phase(telemetry::Phase::Stubborn);
-          choice = stubborn_set(cfg, infos, static_info);
-        }
-        ws.stubborn_steps += 1;
-        if (choice.expand.size() == 1) ws.stubborn_singletons += 1;
-        if (!choice.is_full) ws.stubborn_reduced_steps += 1;
-        reduced = !choice.is_full;
-        expansion = std::move(choice.expand);
-      }
+      ctx.recorder.pairs(e.infos);
       if (options.sleep_sets) {
         std::erase_if(expansion, [&](Pid p) {
           const bool sleeping = p < kMaxSleepPid && ((item.sleep >> p) & 1) != 0;
-          if (sleeping) ws.sleep_suppressed_transitions += 1;
+          if (sleeping) ctx.counters.sleep_suppressed_transitions += 1;
           return sleeping;
         });
         if (expansion.empty()) return;  // fully covered elsewhere
@@ -247,7 +210,7 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
           // The pid does not fit the 64-bit sleep mask, so this sibling can
           // never be put to sleep. Sound (sleep sets only prune) but the
           // reduction silently degrades — surface it once, count always.
-          ws.sleep_pids_capped += 1;
+          ctx.counters.sleep_pids_capped += 1;
           warn_once("sleep-pids-capped",
                     "process ids >= " + std::to_string(kMaxSleepPid) +
                         " exceed the sleep-set pid mask; sleep-set reduction is "
@@ -273,21 +236,19 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
     std::size_t fire_seq = 0;
     auto fire = [&](Pid pid) -> bool {
       const std::size_t idx = fire_seq++;
-      ActionInfo fired;
-      const bool have_fired = options.record_graph || options.sleep_sets;
-      if (have_fired) fired = sem::action_info(cfg, pid);
+      const ActionInfo& fired = e.info(pid);
       std::uint64_t succ_sleep = 0;
       if (options.sleep_sets && idx < expansion.size()) succ_sleep = succ_sleep_for(fired, idx);
-      ws.transitions += 1;
+      ctx.transitions += 1;
       Configuration succ = core_step(cfg, pid, static_info, options.coarsen, ctx.recorder,
-                                     ctx.steps, have_fired ? &fired : nullptr);
+                                     ctx.counters, &fired);
       const Admit a = admit(std::move(succ), succ_sleep, widx);
       if (a.dropped) {
         // As in the sequential engine, the transition whose successor is
         // dropped is uncounted (keeps graph.edges.size() == num_transitions
         // through truncation) and accounted separately.
-        ws.transitions -= 1;
-        ws.truncated_transitions += 1;
+        ctx.transitions -= 1;
+        ctx.counters.truncated_transitions += 1;
         return false;
       }
       if (options.record_graph) {
@@ -296,8 +257,8 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
       return a.fresh;
     };
 
-    if (fire_with_insertion_proviso(enabled, expansion, reduced, !truncated.load(), fire)) {
-      ws.proviso_full_expansions += 1;
+    if (fire_with_insertion_proviso(e.enabled, expansion, e.reduced, !truncated.load(), fire)) {
+      ctx.counters.proviso_full_expansions += 1;
     }
   };
 
@@ -327,12 +288,12 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
   auto worker = [&](unsigned index) {
     telemetry::ThreadRegistration track("worker" + std::to_string(index));
     worker_tids[index] = track.tid();
-    WorkerStats& ws = ctxs[index].stats;
+    const WorkerCtx& ctx = ctxs[index];
     std::uint64_t items_seen = 0;
     try {
       while (auto item = frontier.pop(index)) {
         if (!abort.load() && !truncated.load()) {
-          const std::uint64_t fired_before = ws.transitions;
+          const std::uint64_t fired_before = ctx.transitions;
           {
             telemetry::ScopedPhase phase(telemetry::Phase::Expansion);
             expand(*item, index);
@@ -342,8 +303,8 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
           if (live_bytes > worker_peak_bytes[index]) worker_peak_bytes[index] = live_bytes;
           auto& tel = telemetry::Telemetry::global();
           if (tel.live_enabled()) {
-            if (ws.transitions > fired_before) {
-              tel.add_live(telemetry::Gauge::Transitions, ws.transitions - fired_before);
+            if (ctx.transitions > fired_before) {
+              tel.add_live(telemetry::Gauge::Transitions, ctx.transitions - fired_before);
             }
             live_tick(items_seen);
           }
@@ -368,9 +329,8 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
     init_fp = init.canonical_fingerprint();
     seen.insert(init, init_fp, 0);
     num_configs.store(1);
-    WorkerStats& ws = ctxs[0].stats;
-    for (std::uint32_t v : init.violations) ws.violations.insert(v);
-    for (const auto& f : init.faults) ws.faults.insert(f);
+    for (std::uint32_t v : init.violations) ctxs[0].violations.insert(v);
+    for (const auto& f : init.faults) ctxs[0].faults.insert(f);
     frontier.push(0, WorkItem{std::move(init), init_fp, 0, 0});
   }
 
@@ -387,28 +347,17 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
   // which worker did what.
   result.num_configs = num_configs.load();
   result.truncated = truncated.load();
-  WorkerStats total;
-  StepCounters steps_total;
+  ExploreCounters counters;
   FrontierCounters frontier_total;
   std::uint64_t busy_min_ns = 0;
   std::uint64_t busy_max_ns = 0;
   std::uint64_t busy_sum_ns = 0;
   for (unsigned i = 0; i < options.threads; ++i) {
     const WorkerCtx& ctx = ctxs[i];
-    const WorkerStats& ws = ctx.stats;
-    result.num_transitions += ws.transitions;
-    total.stubborn_steps += ws.stubborn_steps;
-    total.stubborn_singletons += ws.stubborn_singletons;
-    total.stubborn_reduced_steps += ws.stubborn_reduced_steps;
-    total.proviso_full_expansions += ws.proviso_full_expansions;
-    total.truncated_transitions += ws.truncated_transitions;
-    total.sleep_suppressed_transitions += ws.sleep_suppressed_transitions;
-    total.sleep_reexplorations += ws.sleep_reexplorations;
-    total.sleep_pids_capped += ws.sleep_pids_capped;
-    steps_total.coarsened_micro_actions += ctx.steps.coarsened_micro_actions;
-    steps_total.coarsen_guard_hits += ctx.steps.coarsen_guard_hits;
-    for (std::uint32_t v : ws.violations) result.violations.insert(v);
-    for (const auto& f : ws.faults) result.faults.insert(f);
+    counters += ctx.counters;
+    result.num_transitions += ctx.transitions;
+    result.violations.insert(ctx.violations.begin(), ctx.violations.end());
+    result.faults.insert(ctx.faults.begin(), ctx.faults.end());
     const FrontierCounters& fc = frontier.counters(i);
     frontier_total.steals += fc.steals;
     frontier_total.stolen_items += fc.stolen_items;
@@ -444,27 +393,13 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
     result.stats.add_time_ns("workers.max", busy_max_ns);
     result.stats.add_time_ns("workers.sum", busy_sum_ns);
   }
-  // Lazy-counter parity with the sequential engine: a counter that never
-  // fired stays absent from to_string().
-  auto add_if = [&](const char* name, std::uint64_t v) {
-    if (v != 0) result.stats.add(name, v);
-  };
-  add_if("stubborn_steps", total.stubborn_steps);
-  add_if("stubborn_singletons", total.stubborn_singletons);
-  add_if("stubborn_reduced_steps", total.stubborn_reduced_steps);
-  add_if("proviso_full_expansions", total.proviso_full_expansions);
-  add_if("coarsened_micro_actions", steps_total.coarsened_micro_actions);
-  add_if("coarsen_guard_hits", steps_total.coarsen_guard_hits);
-  add_if("truncated_transitions", total.truncated_transitions);
-  add_if("sleep_suppressed_transitions", total.sleep_suppressed_transitions);
-  add_if("sleep_reexplorations", total.sleep_reexplorations);
-  add_if("sleep.pids_capped", total.sleep_pids_capped);
   // The steal counters are always present under threads > 1 (even at
   // zero): they are the engine's health signals (see docs/PARALLEL.md).
   result.stats.set("steals", frontier_total.steals);
   result.stats.set("stolen_items", frontier_total.stolen_items);
   result.stats.set("steal_misses", frontier_total.steal_misses);
   result.stats.set("frontier_contention", frontier_total.contention);
+  result.stats.set_gauge("threads", options.threads);
 
   if (options.record_graph) {
     // Scheduling-independent node ids: the initial state is node 0, every
@@ -501,41 +436,10 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
     std::sort(result.graph.deadlock_nodes.begin(), result.graph.deadlock_nodes.end());
   }
 
-  result.graph.num_nodes = result.num_configs;
-  result.stats.set("configs", result.num_configs);
-  result.stats.set("transitions", result.num_transitions);
-  result.stats.set("terminals", result.terminals.size());
-  result.stats.set("deadlocks", result.deadlock_found ? 1 : 0);
-  result.stats.set_gauge("visited_bytes", seen.memory_bytes());
-  result.stats.set_gauge("visited_configs", seen.size());
-  result.stats.set_gauge("fingerprint_collisions", seen.collisions());
-  result.stats.set_gauge("threads", options.threads);
-  {
-    const sem::cowstats::Snapshot cow1 = sem::cowstats::snapshot();
-    result.stats.set_gauge("cow.objects_copied", cow1.objects_copied - cow0.objects_copied);
-    result.stats.set_gauge("cow.objects_shared", cow1.objects_shared - cow0.objects_shared);
-    result.stats.set_gauge("cow.process_clones", cow1.process_clones - cow0.process_clones);
-    result.stats.set_gauge(
-        "frontier_peak_bytes",
-        *std::max_element(worker_peak_bytes.begin(), worker_peak_bytes.end()));
-  }
-  if (metrics) {
-    result.stats.set_gauge("peak_rss_bytes", telemetry::peak_rss_bytes());
-  }
-  {
-    auto& tel = telemetry::Telemetry::global();
-    if (tel.live_enabled()) {
-      // Close the live view on the final numbers so the sampler's last
-      // sample (taken on stop) reflects the completed run.
-      tel.set_live(telemetry::Gauge::Configs, result.num_configs);
-      tel.set_live(telemetry::Gauge::Transitions, result.num_transitions);
-      tel.set_live(telemetry::Gauge::Frontier, 0);
-      tel.set_live(telemetry::Gauge::VisitedEntries, seen.size());
-      tel.set_live(telemetry::Gauge::VisitedBytes, seen.memory_bytes());
-      tel.set_live(telemetry::Gauge::FrontierBytes, sem::cowstats::live_bytes());
-    }
-    tel.publish_stats(result.stats);
-  }
+  finish_explore(result, counters,
+                 {seen.memory_bytes(), seen.size(), seen.collisions(),
+                  *std::max_element(worker_peak_bytes.begin(), worker_peak_bytes.end())},
+                 cow0);
   return result;
 }
 

@@ -178,7 +178,6 @@ StubbornChoice stubborn_set(const sem::Configuration& cfg, const std::vector<Act
     }
   }
 
-  choice.closure_size = best.size();
   for (Pid p : best) {
     auto it = by_pid.find(p);
     if (it != by_pid.end() && it->second->enabled) choice.expand.push_back(p);

@@ -27,8 +27,6 @@ namespace copar::explore {
 struct StubbornChoice {
   /// Pids whose (enabled) actions to fire at this step.
   std::vector<sem::Pid> expand;
-  /// Size of the chosen closure including disabled members (statistics).
-  std::size_t closure_size = 0;
   /// True if expand covers every enabled process (no reduction happened).
   bool is_full = false;
 };

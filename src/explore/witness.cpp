@@ -1,10 +1,11 @@
 #include "src/explore/witness.h"
 
+#include <algorithm>
 #include <sstream>
 
+#include "src/explore/core.h"
 #include "src/explore/frontier.h"
 #include "src/explore/proviso.h"
-#include "src/explore/stubborn.h"
 #include "src/explore/visited.h"
 #include "src/support/telemetry.h"
 
@@ -42,8 +43,6 @@ bool matches(const WitnessQuery& q, const Configuration& cfg, bool deadlock) {
       for (const auto& [stmt, kind] : cfg.faults) ok = ok || stmt == q.want_fault;
     }
     if (!ok) return false;
-  } else if (!q.want_deadlock && !q.predicate) {
-    // Nothing requested: any terminal matches.
   }
   if (q.predicate && !q.predicate(cfg)) return false;
   return true;
@@ -57,39 +56,47 @@ std::optional<Witness> find_witness(const sem::LoweredProgram& prog,
   WitnessStats local;
   if (stats == nullptr) stats = &local;
 
+  constexpr std::uint32_t kRoot = 0xffffffffu;
+  // One visited configuration and the step that first reached it; the
+  // step's control point is rendered only for the schedule returned.
   struct Node {
     Configuration cfg;
-    std::uint32_t parent = 0xffffffffu;
-    WitnessStep via;
+    std::uint32_t parent = kRoot;
+    Pid pid = 0;
+    std::uint32_t stmt = sem::kNoStmt;
+    sem::ActionKind kind = sem::ActionKind::None;
+    std::uint32_t proc = 0;
+    std::uint32_t pc = 0;
   };
   std::vector<Node> nodes;
-  VisitedSet visited(query.explore.exact_keys);
+  VisitedSet visited(/*exact_keys=*/false);
   FifoFrontier<std::uint32_t> work;  // BFS: shortest witnesses
+  Recorder no_recording;
+  ExploreCounters counters;  // a search reports only WitnessStats
 
-  auto push = [&](Configuration cfg, std::uint32_t parent, WitnessStep via)
-      -> std::optional<std::uint32_t> {
+  auto push = [&](Configuration cfg, std::uint32_t parent, const ActionInfo& via) -> bool {
     telemetry::ScopedPhase phase_canon(telemetry::Phase::Canonicalize);
     const VisitedSet::Probe probe = visited.insert(cfg);
-    if (!probe.inserted) return std::nullopt;
+    if (!probe.inserted) return false;
     require(probe.id == nodes.size(), "witness: visited-set ids must be dense");
-    nodes.push_back(Node{std::move(cfg), parent, std::move(via)});
+    nodes.push_back(Node{std::move(cfg), parent, via.pid, via.stmt_id, via.kind, via.proc, via.pc});
     work.push(probe.id);
-    return probe.id;
+    return true;
   };
 
   auto build = [&](std::uint32_t id) {
     Witness w;
     w.terminal = nodes[id].cfg;
-    std::vector<WitnessStep> rev;
-    for (std::uint32_t cur = id; nodes[cur].parent != 0xffffffffu; cur = nodes[cur].parent) {
-      rev.push_back(nodes[cur].via);
+    for (std::uint32_t cur = id; nodes[cur].parent != kRoot; cur = nodes[cur].parent) {
+      const Node& n = nodes[cur];
+      w.steps.push_back(WitnessStep{n.pid, n.stmt, n.kind, prog.describe_point(n.proc, n.pc)});
     }
-    w.steps.assign(rev.rbegin(), rev.rend());
+    std::reverse(w.steps.begin(), w.steps.end());
     return w;
   };
 
   telemetry::ScopedPhase phase_expansion(telemetry::Phase::Expansion);
-  (void)push(Configuration::initial(prog), 0xffffffffu, WitnessStep{});
+  (void)push(Configuration::initial(prog), kRoot, ActionInfo{});
 
   while (const auto popped = work.pop()) {
     const std::uint32_t id = *popped;
@@ -104,41 +111,21 @@ std::optional<Witness> find_witness(const sem::LoweredProgram& prog,
     // Snapshot — nodes may reallocate during expansion.
     const Configuration cfg = nodes[id].cfg;
     if (query.reach_predicate && query.reach_predicate(cfg)) return build(id);
-    const std::vector<ActionInfo> infos = sem::all_action_infos(cfg);
-    std::vector<Pid> enabled;
-    for (const ActionInfo& info : infos) {
-      if (info.enabled) enabled.push_back(info.pid);
-    }
-    if (enabled.empty()) {
+    const Expansion e = expand_state(cfg, static_info, query.explore.reduction, counters);
+    if (e.enabled.empty()) {
       const bool deadlock = cfg.num_live() > 0;
       if (matches(query, cfg, deadlock)) return build(id);
       continue;
     }
-    std::vector<Pid> expansion = enabled;
-    bool reduced = false;
-    if (query.explore.reduction == Reduction::Stubborn && enabled.size() > 1) {
-      const StubbornChoice choice = [&] {
-        telemetry::ScopedPhase phase_stub(telemetry::Phase::Stubborn);
-        return stubborn_set(cfg, infos, static_info);
-      }();
-      reduced = !choice.is_full;
-      expansion = choice.expand;
-    }
     auto fire = [&](Pid pid) -> bool {
-      const ActionInfo info = sem::action_info(cfg, pid);
-      WitnessStep step;
-      step.pid = pid;
-      step.stmt = info.stmt_id;
-      step.kind = info.kind;
-      step.point = prog.describe_point(info.proc, info.pc);
-      Configuration succ = sem::apply_action(cfg, info);
-      return push(std::move(succ), id, std::move(step)).has_value();
+      const ActionInfo& info = e.info(pid);
+      return push(core_step(cfg, pid, static_info, /*coarsen=*/false, no_recording, counters, &info),
+                  id, info);
     };
     // BFS has no stack, so the stack proviso cannot apply; the core's
     // insertion proviso (shared with the parallel engine) keeps the
     // reduced search complete on cyclic spaces.
-    (void)fire_with_insertion_proviso(enabled, expansion, reduced, /*proviso_on=*/true,
-                                      fire);
+    (void)fire_with_insertion_proviso(e.enabled, e.fire, e.reduced, /*proviso_on=*/true, fire);
   }
   stats->configs = nodes.size();
   return std::nullopt;

@@ -33,6 +33,13 @@ struct Witness {
   [[nodiscard]] std::string to_string(const sem::LoweredProgram& prog) const;
 };
 
+/// How a witness search explores: the reduction it fires under and the
+/// configuration budget it gives up at (WitnessStats::truncated).
+struct WitnessSearch {
+  Reduction reduction = Reduction::Full;
+  std::uint64_t max_configs = 2'000'000;
+};
+
 /// What to search for.
 struct WitnessQuery {
   bool want_deadlock = false;
@@ -47,7 +54,7 @@ struct WitnessQuery {
   /// both statements of a racing pair are simultaneously enabled".
   std::function<bool(const sem::Configuration&)> reach_predicate;
 
-  ExploreOptions explore;  // reduction etc.; record flags are ignored
+  WitnessSearch explore;
 };
 
 /// How a witness search ended: the configurations it expanded and whether it

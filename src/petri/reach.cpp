@@ -91,7 +91,7 @@ std::vector<TransId> stubborn_set(const PetriNet& net, const Marking& m) {
 
 ReachResult explore(const PetriNet& net, const ReachOptions& options) {
   ReachResult result;
-  StatRegistry::Counter proviso_full = result.stats.counter("proviso_full_expansions");
+  std::uint64_t proviso_full = 0;
   telemetry::Telemetry& tel = telemetry::Telemetry::global();
   telemetry::ScopedPhase phase_expansion(telemetry::Phase::Expansion);
   std::unordered_map<Marking, std::uint32_t, MarkingHash> visited;
@@ -160,7 +160,7 @@ ReachResult explore(const PetriNet& net, const ReachOptions& options) {
           cur.expanded_full = true;
           cur.expand = all_enabled(cur.m);
           cur.next = 0;
-          proviso_full.add();
+          proviso_full += 1;
         }
       }
       continue;
@@ -175,6 +175,7 @@ ReachResult explore(const PetriNet& net, const ReachOptions& options) {
   result.stats.set("markings", result.num_markings);
   result.stats.set("edges", result.num_edges);
   result.stats.set("deadlocks", result.deadlocks.size());
+  if (proviso_full != 0) result.stats.add("proviso_full_expansions", proviso_full);
   telemetry::Telemetry::global().publish_stats(result.stats);
   return result;
 }

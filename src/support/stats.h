@@ -6,8 +6,8 @@
 // report. Three kinds:
 //
 //   * counters — monotonically accumulated event counts (`add`/`set`).
-//     Hot loops should pre-resolve a Counter handle once per run instead
-//     of paying a string map lookup per step.
+//     Hot loops count in a plain struct and add each non-zero counter once
+//     at the end of the run, so a counter that never fired stays absent.
 //   * gauges   — point-in-time measurements (bytes resident, visited-set
 //     size estimates). Reported separately; never mixed into to_string()
 //     so existing text output stays stable.
@@ -23,38 +23,6 @@ namespace copar {
 
 class StatRegistry {
  public:
-  /// Pre-resolved handle for a hot-loop counter. The counter is *not*
-  /// materialized in the registry until the first add(), so a handle that
-  /// never fires leaves to_string() output unchanged (exactly as if
-  /// add(name) was never called).
-  ///
-  /// A handle borrows the registry: it must not outlive it and is
-  /// invalidated by clear(). The name must outlive the handle too (engines
-  /// pass string literals), so resolving a handle allocates nothing.
-  class Counter {
-   public:
-    Counter() = default;
-
-    void add(std::uint64_t delta = 1) {
-      if (slot_ == nullptr) {
-        if (reg_ == nullptr) return;  // default-constructed handle: no-op
-        slot_ = &reg_->counters_[name_];
-      }
-      *slot_ += delta;
-    }
-
-   private:
-    friend class StatRegistry;
-    Counter(StatRegistry* reg, const char* name) : reg_(reg), name_(name) {}
-
-    StatRegistry* reg_ = nullptr;
-    const char* name_ = "";
-    std::uint64_t* slot_ = nullptr;
-  };
-
-  /// Interns `name` into a handle (lazy: no counter appears until it fires).
-  [[nodiscard]] Counter counter(const char* name) { return Counter(this, name); }
-
   /// Adds `delta` to counter `name`, creating it at zero on first use.
   void add(const std::string& name, std::uint64_t delta = 1);
 

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/explore/core.h"
 #include "src/explore/report.h"
 #include "src/sem/program.h"
 #include "src/support/json.h"
@@ -357,30 +358,28 @@ TEST_F(TelemetryTest, TraceJsonParsesAndContainsEvents) {
   EXPECT_EQ(events.items[2].at("tid").num, events.items[1].at("tid").num);
 }
 
-// --- StatRegistry: handles, gauges, timings ----------------------------
+// --- StatRegistry: engine counters, gauges, timings --------------------
 
-TEST(StatHandles, LazyHandleMatchesEagerAddByteForByte) {
+TEST(StatHandles, ExploreCountersWriteOnlyFiredCountersLikeEagerAdds) {
   StatRegistry eager;
   eager.add("stubborn_steps");
   eager.add("stubborn_steps");
+  eager.add("sleep.pids_capped");
   eager.set("configs", 7);
 
-  StatRegistry lazy;
-  StatRegistry::Counter steps = lazy.counter("stubborn_steps");
-  StatRegistry::Counter never = lazy.counter("proviso_full_expansions");
-  (void)never;  // resolved but never fired: must not materialize
-  steps.add();
-  steps.add();
-  lazy.set("configs", 7);
+  explore::ExploreCounters counters;
+  counters.stubborn_steps += 2;
+  explore::ExploreCounters worker;
+  worker.sleep_pids_capped += 1;
+  counters += worker;
+  StatRegistry flushed;
+  flushed.set("configs", 7);
+  counters.write_to(flushed);
 
-  EXPECT_EQ(eager.to_string(), lazy.to_string());
-  EXPECT_EQ(lazy.to_string(), "configs=7\nstubborn_steps=2\n");
-  EXPECT_EQ(lazy.get("proviso_full_expansions"), 0u);
-}
-
-TEST(StatHandles, DefaultConstructedHandleIsNoop) {
-  StatRegistry::Counter c;
-  c.add();  // must not crash
+  EXPECT_EQ(flushed.to_string(), eager.to_string());
+  EXPECT_EQ(flushed.to_string(), "configs=7\nsleep.pids_capped=1\nstubborn_steps=2\n");
+  // A counter that stayed at zero is absent, not "=0".
+  EXPECT_EQ(flushed.all().count("proviso_full_expansions"), 0u);
 }
 
 TEST(StatHandles, GaugesAndTimingsStayOutOfToString) {
@@ -708,28 +707,31 @@ TEST(MetricsSchema, JsonFieldsAndTypesArePinned) {
 
 TEST(MetricsSchema, CowGaugesExportedByEngines) {
   Telemetry& t = Telemetry::global();
-  t.reset();
-  t.enable_metrics(true);
-
   auto program = compile(workload::fig2_shasha_snir());
-  explore::ExploreOptions opts;
-  (void)explore::explore(*program->lowered, opts);
+  // Both engines end through the one shared finisher.
+  for (const unsigned threads : {1u, 4u}) {
+    t.reset();
+    t.enable_metrics(true);
+    explore::ExploreOptions opts;
+    opts.threads = threads;
+    (void)explore::explore(*program->lowered, opts);
 
-  const auto snap = telemetry::MetricsSnapshot::capture();
-  std::ostringstream os;
-  snap.write_json(os);
-  const JsonValue doc = parse_json_or_fail(os.str());
-  const JsonValue& gauges = doc.at("gauges");
-  // The COW representation's telemetry: clone / in-place-write counts and
-  // the peak of the live structural-bytes gauge. Values vary with the
-  // machine and schedule; presence and type are the contract.
-  for (const char* name : {"cow.objects_copied", "cow.objects_shared", "cow.process_clones",
-                           "frontier_peak_bytes"}) {
-    EXPECT_EQ(gauges.at(name).kind, JsonValue::Kind::Number) << name;
+    const auto snap = telemetry::MetricsSnapshot::capture();
+    std::ostringstream os;
+    snap.write_json(os);
+    const JsonValue doc = parse_json_or_fail(os.str());
+    const JsonValue& gauges = doc.at("gauges");
+    // The COW representation's telemetry: clone / in-place-write counts and
+    // the peak of the live structural-bytes gauge. Values vary with the
+    // machine and schedule; presence and type are the contract.
+    for (const char* name : {"cow.objects_copied", "cow.objects_shared", "cow.process_clones",
+                             "frontier_peak_bytes", "visited_bytes", "peak_rss_bytes"}) {
+      EXPECT_EQ(gauges.at(name).kind, JsonValue::Kind::Number) << name << " t" << threads;
+    }
+    // Any exploration writes through the COW seam at least once.
+    EXPECT_GT(gauges.at("cow.objects_shared").num + gauges.at("cow.objects_copied").num, 0.0)
+        << "t" << threads;
   }
-  // Any exploration writes through the COW seam at least once.
-  EXPECT_GT(gauges.at("cow.objects_shared").num + gauges.at("cow.objects_copied").num, 0.0);
-
   t.enable_metrics(false);
   t.reset();
 }

@@ -64,6 +64,7 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/absdom/flat.h"
@@ -837,21 +838,21 @@ int cmd_witness(const copar::CompiledProgram& p, const std::vector<std::string>&
   using namespace copar;
   explore::WitnessQuery q;
   if (has_flag(args, "--deadlock")) q.want_deadlock = true;
-  if (const std::string label = flag_value(args, "--violation"); !label.empty()) {
+  for (const auto& [flag, want] : {std::pair{"--violation", &q.want_violation},
+                                   std::pair{"--fault", &q.want_fault}}) {
+    if (!has_flag(args, flag)) continue;
+    // A missing label must not widen the query to "any terminal".
+    const std::string label = flag_value(args, flag);
+    if (label.empty() || label.starts_with("--")) {
+      std::cerr << "error: " << flag << " expects a statement label\n";
+      return 2;
+    }
     const auto id = analysis::labeled_stmt(*p.lowered, label);
     if (!id.has_value()) {
       std::cerr << "no statement labeled '" << label << "'\n";
       return 2;
     }
-    q.want_violation = *id;
-  }
-  if (const std::string label = flag_value(args, "--fault"); !label.empty()) {
-    const auto id = analysis::labeled_stmt(*p.lowered, label);
-    if (!id.has_value()) {
-      std::cerr << "no statement labeled '" << label << "'\n";
-      return 2;
-    }
-    q.want_fault = *id;
+    *want = *id;
   }
   const auto w = explore::find_witness(*p.lowered, q);
   if (!w.has_value()) {
