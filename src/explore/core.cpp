@@ -69,11 +69,16 @@ void ExploreCounters::write_to(StatRegistry& stats) const {
   }
 }
 
-const ActionInfo& Expansion::info(Pid pid) const {
+const ActionInfo* Expansion::find(Pid pid) const {
   const auto it = std::lower_bound(infos.begin(), infos.end(), pid,
                                    [](const ActionInfo& i, Pid p) { return i.pid < p; });
-  require(it != infos.end() && it->pid == pid, "Expansion::info: process not live");
-  return *it;
+  return it != infos.end() && it->pid == pid ? &*it : nullptr;
+}
+
+const ActionInfo& Expansion::info(Pid pid) const {
+  const ActionInfo* found = find(pid);
+  require(found != nullptr, "Expansion::info: process not live");
+  return *found;
 }
 
 Expansion expand_state(const Configuration& cfg, const StaticInfo& static_info,

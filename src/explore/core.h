@@ -60,6 +60,8 @@ struct Expansion {
 
   /// The ActionInfo of live process `pid` — a core_step hint.
   [[nodiscard]] const sem::ActionInfo& info(sem::Pid pid) const;
+  /// The ActionInfo of `pid`, or null when it has no action (not live).
+  [[nodiscard]] const sem::ActionInfo* find(sem::Pid pid) const;
 };
 
 /// Expands `cfg`: every enabled pid under Reduction::Full, a stubborn set

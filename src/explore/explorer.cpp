@@ -38,6 +38,9 @@ struct StackEntry {
   Configuration cfg;
   std::uint32_t id = 0;
   std::vector<Pid> expand;
+  /// Every enabled pid, kept for the stack proviso's full re-expansion;
+  /// empty on a sleep-revisit entry, which stores no expansion.
+  std::vector<Pid> enabled;
   std::size_t next = 0;
   bool expanded_full = false;
   /// Sleep set at this state (sleep_sets mode): pids whose firing here is
@@ -101,6 +104,7 @@ ExploreResult sequential_explore(const sem::LoweredProgram& program,
     entry.cfg = std::move(cfg);
     entry.id = id;
     entry.expand = std::move(e.fire);
+    entry.enabled = std::move(e.enabled);
     if (options.sleep_sets) {
       sleep_store.push_back(sleep);
       cfg_store.push_back(entry.cfg);
@@ -178,10 +182,12 @@ ExploreResult sequential_explore(const sem::LoweredProgram& program,
         if (!cur.expanded_full) {
           cur.expanded_full = true;
           cur.next = 0;
-          cur.expand.clear();
           cur.sleep.clear();
-          for (const ActionInfo& info : sem::all_action_infos(cur.cfg)) {
-            if (info.enabled) cur.expand.push_back(info.pid);
+          cur.expand = std::move(cur.enabled);
+          if (cur.expand.empty()) {
+            for (const ActionInfo& info : sem::all_action_infos(cur.cfg)) {
+              if (info.enabled) cur.expand.push_back(info.pid);
+            }
           }
           counters.proviso_full_expansions += 1;
         }

@@ -218,9 +218,9 @@ ExploreResult parallel_explore(const sem::LoweredProgram& program,
                         "less; see the sleep.pids_capped counter)");
           return;
         }
-        const ActionInfo other = sem::action_info(cfg, t);
-        if (!other.exists) return;
-        if (!actions_conflict(fired, other)) out |= std::uint64_t{1} << t;
+        const ActionInfo* other = e.find(t);
+        if (other == nullptr) return;
+        if (!actions_conflict(fired, *other)) out |= std::uint64_t{1} << t;
       };
       for (Pid t = 0; t < kMaxSleepPid; ++t) {
         if (((item.sleep >> t) & 1) != 0) keep_if_independent(t);

@@ -13,9 +13,11 @@
 //
 // This is the process-level ("improved Overman") formulation the paper
 // gives: conflicts are detected with the read/write sets of each process's
-// next action. We try each enabled process as a seed, close under the rules
-// above, and keep a closure with the fewest enabled members (preferring
-// singletons whose action is purely local — the paper's locality property).
+// next action. Every enabled process is a seed; its closure is the set
+// reachable from it over the rules above, read off one must-include matrix
+// per state whose rows are filled on first use. We keep a closure with the
+// fewest enabled members (preferring singletons whose action is purely
+// local — the paper's locality property).
 #pragma once
 
 #include <vector>

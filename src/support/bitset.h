@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,9 @@ class DynamicBitset {
   DynamicBitset& operator&=(const DynamicBitset& other);
 
   void clear() noexcept { words_.clear(); }
+
+  /// The backing words, bit i in word i / 64; missing high words are zero.
+  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept { return words_; }
 
   /// Indices of all set bits, ascending.
   [[nodiscard]] std::vector<std::size_t> bits() const;

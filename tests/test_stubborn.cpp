@@ -192,6 +192,31 @@ TEST(Stubborn, ReductionStatisticsExposed) {
   EXPECT_GT(r.stubborn.stats.get("stubborn_singletons"), 0u);
 }
 
+TEST(Stubborn, PidsPast64KeepTerminalsAtOneAndFourThreads) {
+  // Pids are never reused: 32 sequential cobegins burn pids 1..64, so the
+  // last cobegin's branches run with pids past 64 (the closure indexes live
+  // processes by position, not by pid). Two branches conflict on x, the
+  // third is independent.
+  std::string src = "var x; var y;\nfun main() {\n";
+  for (int i = 0; i < 32; ++i) src += "  cobegin { skip; } || { skip; } coend;\n";
+  src += "  cobegin { x = 1; x = 2; } || { x = 3; } || { y = 1; y = 2; } coend;\n}\n";
+  const auto prog = compile(src);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ExploreOptions full_opts;
+    full_opts.threads = threads;
+    ExploreOptions stub_opts = full_opts;
+    stub_opts.reduction = Reduction::Stubborn;
+    const ExploreResult full = explore(*prog->lowered, full_opts);
+    const ExploreResult stub = explore(*prog->lowered, stub_opts);
+    ASSERT_FALSE(full.truncated);
+    ASSERT_FALSE(stub.truncated);
+    EXPECT_EQ(stub.terminal_keys(), full.terminal_keys());
+    EXPECT_EQ(stub.terminal_int_values("x"), (std::set<std::int64_t>{2, 3}));
+    EXPECT_LT(stub.num_configs, full.num_configs);
+  }
+}
+
 TEST(Stubborn, ActionsConflictHelper) {
   auto prog = compile(R"(
     var x;
