@@ -30,6 +30,7 @@
 #include "src/lang/ast.h"
 #include "src/sem/lower.h"
 #include "src/sem/step.h"
+#include "src/support/cow.h"
 #include "src/support/diagnostics.h"
 #include "src/support/hash.h"
 
@@ -37,6 +38,17 @@ namespace copar::absem {
 
 template <NumDomain N>
 using AbsStore = absdom::MapLattice<AbsLoc, AbsValue<N>>;
+
+/// absdom::widen_into on a store behind a copy-on-write handle: the payload
+/// is cloned only when it grows while shared (say, with the snapshot of the
+/// state being transferred). Returns true if the store grew.
+template <NumDomain N>
+bool widen_into(support::CowBox<AbsStore<N>>& acc, const AbsStore<N>& delta) {
+  if (delta.leq(*acc)) return false;
+  AbsStore<N>& a = acc.mut();
+  a = a.widen(a.join(delta));
+  return true;
+}
 
 template <NumDomain N>
 class AbsEval {

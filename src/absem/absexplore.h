@@ -37,12 +37,14 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/absem/abseval.h"
 #include "src/explore/frontier.h"
 #include "src/sem/config.h"
 #include "src/sem/lower.h"
+#include "src/support/cow.h"
 #include "src/support/fingerprint.h"
 #include "src/support/stats.h"
 
@@ -57,46 +59,75 @@ struct AbsPathElem {
   friend auto operator<=>(const AbsPathElem&, const AbsPathElem&) = default;
 };
 
+using AbsPath = std::vector<AbsPathElem>;
+using AbsCallString = std::vector<std::uint32_t>;
+
+/// The empty vector every interned empty path or call string points to.
+template <typename T>
+inline const std::vector<T> kEmptyVector{};
+
+/// Interns vectors: one stable copy per distinct value, so that equal
+/// values have equal addresses. Points hold interned pointers; they copy
+/// flat and compare identity by address.
+template <typename T>
+class VectorInterner {
+ public:
+  const std::vector<T>* operator()(std::vector<T> v) {
+    if (v.empty()) return &kEmptyVector<T>;
+    return &*pool_.insert(std::move(v)).first;
+  }
+
+ private:
+  std::set<std::vector<T>> pool_;
+};
+
 /// One abstract process: control point + (Tree) fork path or (Clan) ω flag,
 /// plus a k-limited abstract procedure string (the call-site suffix): the
 /// paper's procedure strings, folded to their last k call symbols. k = 0
 /// gives 0-CFA (all call sites merge); larger k separates return flows.
+/// Path and call string are interned by the engine that made the point
+/// (equal values, equal pointers); the order compares their contents.
 struct AbsPoint {
   std::uint32_t proc = 0;
   std::uint32_t pc = 0;
-  std::vector<AbsPathElem> path;
-  std::vector<std::uint32_t> cstring;  // call-site stmt ids, most recent last
+  const AbsPath* path = &kEmptyVector<AbsPathElem>;
+  const AbsCallString* cstring = &kEmptyVector<std::uint32_t>;  // most recent last
   bool omega = false;
 
   /// Identity ignores omega (duplicates merge into one ω point).
-  [[nodiscard]] auto ident() const { return std::tie(proc, pc, path, cstring); }
+  [[nodiscard]] bool same_ident(const AbsPoint& o) const {
+    return proc == o.proc && pc == o.pc && path == o.path && cstring == o.cstring;
+  }
   friend bool operator==(const AbsPoint& a, const AbsPoint& b) {
-    return a.ident() == b.ident() && a.omega == b.omega;
+    return a.same_ident(b) && a.omega == b.omega;
   }
   friend bool operator<(const AbsPoint& a, const AbsPoint& b) {
-    return std::tie(a.proc, a.pc, a.path, a.cstring, a.omega) <
-           std::tie(b.proc, b.pc, b.path, b.cstring, b.omega);
+    if (a.proc != b.proc) return a.proc < b.proc;
+    if (a.pc != b.pc) return a.pc < b.pc;
+    if (a.path != b.path) return *a.path < *b.path;
+    if (a.cstring != b.cstring) return *a.cstring < *b.cstring;
+    return a.omega < b.omega;
   }
 };
 
 using AbsControl = std::vector<AbsPoint>;  // sorted, duplicates merged via ω
 
 /// 128-bit fingerprint of a (canonically sorted) control state, covering
-/// every identity field of every point. The worklist's queued-membership
-/// check keys on this instead of holding full AbsControl copies.
+/// every identity field of every point. The state table hashes on it and
+/// confirms a hit by comparing the full control.
 inline support::Fingerprint control_fingerprint(const AbsControl& ctrl) {
   support::Fp128Hasher h;
   h.u32(static_cast<std::uint32_t>(ctrl.size()));
   for (const AbsPoint& p : ctrl) {
     h.u32(p.proc);
     h.u32(p.pc);
-    h.u32(static_cast<std::uint32_t>(p.path.size()));
-    for (const AbsPathElem& e : p.path) {
+    h.u32(static_cast<std::uint32_t>(p.path->size()));
+    for (const AbsPathElem& e : *p.path) {
       h.u32(e.site);
       h.u32(e.branch);
     }
-    h.u32(static_cast<std::uint32_t>(p.cstring.size()));
-    for (std::uint32_t c : p.cstring) h.u32(c);
+    h.u32(static_cast<std::uint32_t>(p.cstring->size()));
+    for (std::uint32_t c : *p.cstring) h.u32(c);
     h.u8(p.omega ? 1 : 0);
   }
   return h.finalize();
@@ -208,22 +239,49 @@ class AbsExplorer {
     /// Fork path of the calling point: a return resumes only continuations
     /// of the same thread context (otherwise returns would teleport control
     /// across threads and blow up the control-state space).
-    std::vector<AbsPathElem> path;
+    const AbsPath* path;
     /// Caller's call string (restored on return) and the callee context it
     /// created (matched against the returning point under k > 0).
-    std::vector<std::uint32_t> caller_cstring;
-    std::vector<std::uint32_t> callee_cstring;
+    const AbsCallString* caller_cstring;
+    const AbsCallString* callee_cstring;
     std::set<AbsLoc> dst;  // where the return value lands (empty: dropped)
-    friend auto operator<=>(const Continuation&, const Continuation&) = default;
+    /// Ordered by contents, not addresses: the order fixes return order.
+    friend bool operator<(const Continuation& a, const Continuation& b) {
+      return std::tie(a.proc, a.pc, *a.path, *a.caller_cstring, *a.callee_cstring, a.dst) <
+             std::tie(b.proc, b.pc, *b.path, *b.caller_cstring, *b.callee_cstring, b.dst);
+    }
   };
+
+  /// One folded abstract configuration. The control's fingerprint is
+  /// computed once, when the control is first enqueued; the store sits
+  /// behind a copy-on-write handle, so the per-pop snapshot is a handle
+  /// copy and successors that keep the store unchanged share its payload.
+  struct State {
+    AbsControl ctrl;
+    support::Fingerprint fp;
+    support::CowBox<Store> store;
+    bool queued = false;
+    bool evaluated = false;
+  };
+  static constexpr std::uint32_t kNoState = 0xffffffffu;
 
   // --- control-state plumbing ---------------------------------------------
   static void insert_point(AbsControl& ctrl, AbsPoint p);
   [[nodiscard]] AbsControl with_point_removed(const AbsControl& ctrl, std::size_t idx) const;
 
-  void enqueue(AbsControl ctrl, Store store);
-  void transfer(const AbsControl& ctrl, const Store& store);
-  void transfer_point(const AbsControl& ctrl, const Store& store, std::size_t idx);
+  /// The index slot holding the state of `ctrl`, or the empty slot where it
+  /// belongs. Probes compare the fingerprint first and then the full
+  /// control, so a fingerprint collision never merges two states.
+  [[nodiscard]] std::uint32_t& index_slot(const AbsControl& ctrl, const support::Fingerprint& fp);
+  void grow_index();
+  /// Queues every known state in AbsControl order (the global requeue).
+  void requeue_all();
+
+  void enqueue(AbsControl ctrl, const support::CowBox<Store>& store);
+  /// Evaluates one state; `first` on its first evaluation.
+  void transfer(const AbsControl& ctrl, const support::CowBox<Store>& store, bool first);
+  void transfer_point(const AbsControl& ctrl, const support::CowBox<Store>& store,
+                      std::size_t idx);
 
   const sem::LoweredProgram& prog_;
   AbsOptions opts_;
@@ -232,11 +290,20 @@ class AbsExplorer {
   /// transferred point's call string, and there is no rely or guarantee.
   AbsEval<N> ev_;
 
-  std::map<AbsControl, Store> states_;
-  /// Fixpoint worklist: FIFO with fingerprint-keyed queued-membership (a
-  /// control already waiting is not enqueued twice), shared with the
-  /// exploration engines (src/explore/frontier.h).
-  explore::UniqueFifo<AbsControl> work_;
+  /// States by dense id in discovery order (a deque: references stay valid
+  /// while transfer adds successors).
+  std::deque<State> states_;
+  /// Open-addressing index over states_ (ids; kNoState = empty), kept at
+  /// most half full.
+  std::vector<std::uint32_t> index_;
+  /// Ids sorted by AbsControl, for the global requeue; ids past the sorted
+  /// prefix are merged in at the next requeue.
+  std::vector<std::uint32_t> by_control_;
+  /// Fixpoint worklist of state ids: FIFO, and a state already waiting
+  /// (State::queued) is not enqueued twice.
+  explore::FifoFrontier<std::uint32_t> work_;
+  VectorInterner<AbsPathElem> paths_;
+  VectorInterner<std::uint32_t> cstrings_;
   std::map<std::uint32_t, std::set<Continuation>> conts_;  // proc -> call sites
   bool conts_grew_ = false;
 };

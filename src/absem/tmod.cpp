@@ -57,7 +57,9 @@ class ThreadModular {
 
   /// Per-thread analysis state, accumulated monotonically across rounds.
   struct ThreadState {
-    std::map<Point, Store> states;  // abstract store on entry to each point
+    /// Abstract store on entry to each point, behind a copy-on-write
+    /// handle: the per-transfer snapshot is a handle copy.
+    std::map<Point, support::CowBox<Store>> states;
     std::map<std::uint32_t, std::set<Cont>> conts;  // callee -> return sites
     Interference<N> guarantee;      // this thread's abstract writes
   };
@@ -67,8 +69,8 @@ class ThreadModular {
   }
 
   void propagate(Point pt, const Store& store) {
-    auto [it, fresh] = cur_ts_->states.emplace(pt, store);
-    if (!fresh && !absdom::widen_into(it->second, store)) return;
+    auto [it, fresh] = cur_ts_->states.try_emplace(pt, store);
+    if (!fresh && !widen_into(it->second, store)) return;
     grew_ = true;
     worklist_.insert(pt);
   }
@@ -135,8 +137,8 @@ void ThreadModular<N>::analyze(std::uint32_t root, ThreadState& ts,
     worklist_.erase(worklist_.begin());
     const auto it = ts.states.find(pt);
     if (it == ts.states.end()) continue;
-    const Store snapshot = it->second;  // copy: transfer only reads it
-    transfer(pt, snapshot);
+    const support::CowBox<Store> snapshot = it->second;  // handle copy
+    transfer(pt, *snapshot);
     ++evals_;
   }
 }

@@ -6,11 +6,7 @@
 // one they all consume now:
 //
 //   * FifoFrontier<T>       — plain FIFO. Breadth-first orders (witness
-//     search wants shortest schedules).
-//   * UniqueFifo<T>         — FIFO with fingerprint-keyed membership dedup:
-//     a push whose key is already queued is dropped. The absem fixpoint
-//     worklist shape (re-enqueue on widening growth without duplicating
-//     queued control states).
+//     search wants shortest schedules) and the absem fixpoint worklist.
 //   * WorkStealingFrontier<T> — the parallel engine's frontier. Per-worker
 //     Chase–Lev-style deques: the owner pushes and pops at the back (LIFO,
 //     depth-first-ish locality), thieves take a batch of half the victim's
@@ -42,7 +38,6 @@
 #include <optional>
 #include <vector>
 
-#include "src/support/fingerprint.h"
 #include "src/support/telemetry.h"
 
 namespace copar::explore {
@@ -65,36 +60,6 @@ class FifoFrontier {
 
  private:
   std::deque<T> items_;
-};
-
-/// FIFO frontier with fingerprint-keyed queued-membership: pushing an item
-/// whose key is already waiting is a no-op. Holds the 16-byte key next to
-/// the item instead of a second copy of the item (the reason the absem
-/// worklist adopted fingerprints in the first place).
-template <typename T>
-class UniqueFifo {
- public:
-  /// True when the item was enqueued (its key was not already waiting).
-  bool push(T item, const support::Fingerprint& fp) {
-    if (!queued_.insert(fp).inserted) return false;
-    items_.emplace_back(std::move(item), fp);
-    return true;
-  }
-
-  std::optional<T> pop() {
-    if (items_.empty()) return std::nullopt;
-    auto [item, fp] = std::move(items_.front());
-    items_.pop_front();
-    queued_.erase(fp);
-    return std::move(item);
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
-
- private:
-  std::deque<std::pair<T, support::Fingerprint>> items_;
-  support::FingerprintTable queued_;
 };
 
 /// Per-worker frontier statistics (merged into the engine's StatRegistry).

@@ -58,10 +58,13 @@
 //
 // Exit codes: 0 success, 1 error (or error-severity findings from check),
 // 2 usage, 3 truncated exploration, 4 out of memory.
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -133,6 +136,18 @@ std::string flag_value(const std::vector<std::string>& args, std::string_view fl
     if (args[i] == flag) return args[i + 1];
   }
   return {};
+}
+
+/// Parses a count option: decimal digits only (no sign, no blanks, no
+/// trailing bytes), at least 1 and at most `max`. A negative or overflowing
+/// budget is rejected instead of wrapping into an effectively unbounded one.
+std::optional<std::uint64_t> parse_count(std::string_view v,
+                                         std::uint64_t max = UINT64_MAX) {
+  std::uint64_t n = 0;
+  const char* last = v.data() + v.size();
+  const auto [end, ec] = std::from_chars(v.data(), last, n);
+  if (ec != std::errc() || end != last || n == 0 || n > max) return std::nullopt;
+  return n;
 }
 
 /// Observability switches, stripped from the arg list before command
@@ -268,26 +283,24 @@ int parse_explore_opts(const std::vector<std::string>& args,
     return 2;
   }
   if (const std::string v = flag_value(args, "--max-configs"); !v.empty()) {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || n == 0) {
+    const auto n = parse_count(v);
+    if (!n) {
       std::cerr << "error: --max-configs expects a positive integer, got '" << v << "'\n";
       return 2;
     }
-    opts.max_configs = n;
+    opts.max_configs = *n;
   }
   if (has_flag(args, "--threads") && flag_value(args, "--threads").empty()) {
     std::cerr << "error: --threads expects a positive integer\n";
     return 2;
   }
   if (const std::string v = flag_value(args, "--threads"); !v.empty()) {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || n == 0 || n > 1024) {
+    const auto n = parse_count(v, 1024);
+    if (!n) {
       std::cerr << "error: --threads expects a positive integer, got '" << v << "'\n";
       return 2;
     }
-    opts.threads = static_cast<unsigned>(n);
+    opts.threads = static_cast<unsigned>(*n);
   }
   if (const auto d = explore::parallel_unsupported(opts)) {
     std::cerr << "error (" << d->code << "): " << d->message << '\n';
@@ -683,13 +696,12 @@ int cmd_check(const std::string& path, const std::string& source,
       }
       return true;
     }
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || n == 0) {
+    const auto n = parse_count(v);
+    if (!n) {
       std::cerr << "error: " << flag << " expects a positive integer, got '" << v << "'\n";
       return false;
     }
-    *out = n;
+    *out = *n;
     return true;
   };
   if (!parse_positive("--max-configs", &copts.max_configs)) return 2;
