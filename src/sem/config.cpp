@@ -30,10 +30,41 @@ Process& ProcessTable::mutate(Pid pid) {
     h = track(Process(*h));
     cowstats::note_process_clone();
   }
+  if (h->sealed) {
+    h->sealed = false;
+    dirty_.add(pid);
+  }
   return *h;
 }
 
-void ProcessTable::push_back(Process&& p) { procs_.push_back(track(std::move(p))); }
+void ProcessTable::push_back(Process&& p) {
+  p.sealed = false;
+  dirty_.add(static_cast<Pid>(procs_.size()));
+  procs_.push_back(track(std::move(p)));
+}
+
+void ProcessTable::seal() {
+  dirty_.drain(static_cast<std::uint32_t>(procs_.size()), [&](Pid pid) {
+    Handle& h = procs_[pid];
+    if (h.use_count() != 1 || h->sealed || !h->live()) return;
+    h->digest = process_digest(*h);
+    h->sealed = true;
+  });
+}
+
+support::Fingerprint process_digest(const Process& p) noexcept {
+  constexpr std::uint64_t kProcessDomain = 0x70726f63657373ULL;  // "process"
+  support::ConfigHasher h(kProcessDomain);
+  h.word(p.path.size());
+  for (const PathElem& e : p.path) h.pair(e.site, e.branch);
+  hash_pstring(h, p.pstr);
+  h.pair(p.pending_children, static_cast<std::uint32_t>(p.frames.size()));
+  for (const Frame& f : p.frames) {
+    h.pair(f.proc, f.pc);
+    h.word(f.has_ret_dst ? (std::uint64_t{1} << 32) | f.ret_off : 0);
+  }
+  return h.finalize();
+}
 
 std::string_view fault_name(Fault f) {
   switch (f) {
@@ -89,6 +120,7 @@ Configuration Configuration::initial(const LoweredProgram& program) {
   root.frames.push_back(Frame{entry.id, 0, frame, false, kNoObj, 0});
   root.pstr = ProcString().append(ProcString::call_sym(entry.id));
   cfg.processes.push_back(std::move(root));
+  cfg.seal();
   return cfg;
 }
 
@@ -135,56 +167,96 @@ void emit_pstring(Sink& sink, const ProcString& s) {
   }
 }
 
-/// The one canonicalization traversal. Both canonical_key() (ByteSink) and
-/// canonical_fingerprint() (Fp128Hasher) feed their sink from this function,
-/// so the key bytes and the hashed bytes are the same stream by
-/// construction.
-template <class Sink>
-void serialize_canonical(const Configuration& cfg, Sink& sink) {
-  // 1. Canonical order of live processes: lexicographic by fork path.
-  // Pids and ObjIds are dense indices, so the renumbering maps here and
-  // below are flat vectors (no per-call hashing) — this traversal runs once
-  // per discovered configuration and dominates the canonicalize phase.
-  std::vector<Pid> live;
-  live.reserve(cfg.processes.size());
-  for (Pid pid = 0; pid < cfg.processes.size(); ++pid) {
-    if (cfg.processes[pid].live()) live.push_back(pid);
-  }
-  std::sort(live.begin(), live.end(),
-            [&](Pid a, Pid b) { return cfg.processes[a].path < cfg.processes[b].path; });
-  std::vector<std::uint32_t> canon_pid(cfg.processes.size(), 0xffffffffu);
-  for (std::uint32_t i = 0; i < live.size(); ++i) canon_pid[live[i]] = i;
+constexpr std::uint32_t kUnset = 0xffffffffu;
 
-  // 2. Object renumbering by deterministic reachability (also GC).
-  std::vector<std::uint32_t> remap(cfg.store.num_objects(), 0xffffffffu);
+/// The canonical order of one configuration: live pids by fork path, their
+/// canonical numbers, and the reachable objects in traversal order with
+/// their canonical numbers. One per thread, reused across calls: `remap`
+/// and `canon_pid` are indexed by ObjId/Pid and hold kUnset everywhere
+/// except at the entries the previous call set, which the next call resets
+/// (so a call costs the reachable part, not the whole store).
+struct CanonOrder {
+  std::vector<Pid> live;
+  std::vector<std::uint32_t> canon_pid;
+  std::vector<std::uint32_t> remap;
   std::vector<ObjId> order;
-  order.reserve(cfg.store.num_objects());
+  std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> locks;
+
+  [[nodiscard]] std::uint32_t canon_obj(ObjId obj) const {
+    return obj < remap.size() ? remap[obj] : kUnset;  // kNoObj maps out
+  }
+};
+
+thread_local CanonOrder canon_scratch;
+
+/// Fills the thread's CanonOrder for `cfg` — the one canonicalization
+/// traversal behind canonical_key() and canonical_fingerprint(): live
+/// processes sorted by fork path, objects renumbered by a deterministic
+/// reachability scan from the globals frame and the live frames (which
+/// doubles as a garbage collection), and the lock table sorted by
+/// canonical location.
+const CanonOrder& canonical_order(const Configuration& cfg, bool cached) {
+  CanonOrder& c = canon_scratch;
+  for (const Pid pid : c.live) c.canon_pid[pid] = kUnset;
+  for (const ObjId obj : c.order) c.remap[obj] = kUnset;
+  c.live.clear();
+  c.order.clear();
+  if (c.canon_pid.size() < cfg.processes.size()) c.canon_pid.resize(cfg.processes.size(), kUnset);
+  if (c.remap.size() < cfg.store.num_objects()) c.remap.resize(cfg.store.num_objects(), kUnset);
+
+  // 1. Canonical order of live processes: lexicographic by fork path.
+  for (Pid pid = 0; pid < cfg.processes.size(); ++pid) {
+    if (cfg.processes[pid].live()) c.live.push_back(pid);
+  }
+  std::sort(c.live.begin(), c.live.end(),
+            [&](Pid a, Pid b) { return cfg.processes[a].path < cfg.processes[b].path; });
+  for (std::uint32_t i = 0; i < c.live.size(); ++i) c.canon_pid[c.live[i]] = i;
+
+  // 2. Object renumbering by deterministic reachability. Only the entries
+  // below num_objects() are consulted, so a larger scratch from an earlier
+  // configuration is harmless.
   auto visit = [&](ObjId obj) {
-    if (obj == kNoObj) return;
-    std::uint32_t& slot = remap[obj];
-    if (slot == 0xffffffffu) {
-      slot = static_cast<std::uint32_t>(order.size());
-      order.push_back(obj);
+    if (obj >= cfg.store.num_objects()) return;  // kNoObj
+    std::uint32_t& slot = c.remap[obj];
+    if (slot == kUnset) {
+      slot = static_cast<std::uint32_t>(c.order.size());
+      c.order.push_back(obj);
     }
   };
   visit(0);  // globals frame
-  for (Pid pid : live) {
+  for (const Pid pid : c.live) {
     for (const Frame& f : cfg.processes[pid].frames) {
       visit(f.frame_obj);
       if (f.has_ret_dst) visit(f.ret_obj);
     }
   }
-  for (std::size_t i = 0; i < order.size(); ++i) {  // order grows during scan
-    const Object& o = cfg.store.object(order[i]);
+  for (std::size_t i = 0; i < c.order.size(); ++i) {  // order grows during scan
+    const Object& o = cfg.store.object(c.order[i]);
+    if (cached && o.sealed && !o.has_refs) continue;  // nothing to visit
     for (const Value& v : o.cells) {
       if (v.is_ptr()) visit(v.ptr_obj());
       if (v.is_closure()) visit(v.closure_env());
     }
   }
 
-  auto canon_obj = [&](ObjId obj) -> std::uint32_t {
-    return obj < remap.size() ? remap[obj] : 0xffffffffu;  // kNoObj maps out
-  };
+  // 3. Lock table, sorted by canonical location; a lock on an unreachable
+  // cell is inert.
+  c.locks.clear();
+  for (const auto& [loc, owner] : cfg.lock_owners) {
+    const std::uint32_t co = c.canon_obj(loc.first);
+    if (co == kUnset) continue;
+    c.locks.emplace_back(co, loc.second, owner < cfg.processes.size() ? c.canon_pid[owner] : kUnset);
+  }
+  std::sort(c.locks.begin(), c.locks.end());
+  return c;
+}
+
+/// The canonical key's bytes, in the order canonical_order() fixes. The
+/// key reads no cached digest or bit: it is the reference the fingerprint
+/// is checked against.
+std::string serialize_key(const Configuration& cfg) {
+  const CanonOrder& c = canonical_order(cfg, /*cached=*/false);
+  ByteSink sink;
   auto emit_value = [&](const Value& v) {
     sink.u8(static_cast<std::uint8_t>(v.kind()));
     switch (v.kind()) {
@@ -194,19 +266,18 @@ void serialize_canonical(const Configuration& cfg, Sink& sink) {
       case VKind::Null:
         break;
       case VKind::Ptr:
-        sink.u32(canon_obj(v.ptr_obj()));
+        sink.u32(c.canon_obj(v.ptr_obj()));
         sink.u32(v.ptr_off());
         break;
       case VKind::Closure:
         sink.u32(v.closure_proc());
-        sink.u32(v.closure_env() == kNoObj ? 0xffffffffu : canon_obj(v.closure_env()));
+        sink.u32(c.canon_obj(v.closure_env()));
         break;
     }
   };
 
-  // 3. Serialize.
-  sink.u32(static_cast<std::uint32_t>(order.size()));
-  for (ObjId obj : order) {
+  sink.u32(static_cast<std::uint32_t>(c.order.size()));
+  for (const ObjId obj : c.order) {
     const Object& o = cfg.store.object(obj);
     sink.u8(static_cast<std::uint8_t>(o.obj_kind));
     sink.u32(o.site);
@@ -215,8 +286,8 @@ void serialize_canonical(const Configuration& cfg, Sink& sink) {
     for (const Value& v : o.cells) emit_value(v);
   }
 
-  sink.u32(static_cast<std::uint32_t>(live.size()));
-  for (Pid pid : live) {
+  sink.u32(static_cast<std::uint32_t>(c.live.size()));
+  for (const Pid pid : c.live) {
     const Process& p = cfg.processes[pid];
     sink.u32(static_cast<std::uint32_t>(p.path.size()));
     for (const PathElem& e : p.path) {
@@ -229,27 +300,17 @@ void serialize_canonical(const Configuration& cfg, Sink& sink) {
     for (const Frame& f : p.frames) {
       sink.u32(f.proc);
       sink.u32(f.pc);
-      sink.u32(canon_obj(f.frame_obj));
+      sink.u32(c.canon_obj(f.frame_obj));
       sink.u8(f.has_ret_dst ? 1 : 0);
       if (f.has_ret_dst) {
-        sink.u32(canon_obj(f.ret_obj));
+        sink.u32(c.canon_obj(f.ret_obj));
         sink.u32(f.ret_off);
       }
     }
   }
 
-  // Lock table, sorted by canonical location.
-  std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> locks;
-  locks.reserve(cfg.lock_owners.size());
-  for (const auto& [loc, owner] : cfg.lock_owners) {
-    const std::uint32_t co = canon_obj(loc.first);
-    if (co == 0xffffffffu) continue;  // unreachable cell: lock is inert
-    locks.emplace_back(co, loc.second,
-                       owner < canon_pid.size() ? canon_pid[owner] : 0xffffffffu);
-  }
-  std::sort(locks.begin(), locks.end());
-  sink.u32(static_cast<std::uint32_t>(locks.size()));
-  for (const auto& [obj, off, owner] : locks) {
+  sink.u32(static_cast<std::uint32_t>(c.locks.size()));
+  for (const auto& [obj, off, owner] : c.locks) {
     sink.u32(obj);
     sink.u32(off);
     sink.u32(owner);
@@ -262,20 +323,66 @@ void serialize_canonical(const Configuration& cfg, Sink& sink) {
     sink.u32(stmt);
     sink.u8(kind);
   }
+  return sink.take();
+}
+
+/// The fingerprint over the same canonical order: each reachable object's
+/// digest followed by its renumbered reference targets, each live
+/// process's digest followed by its renumbered frame and return objects,
+/// then the lock table, violations and faults — every part length-prefixed
+/// (a digest fixes the count of what follows it). Everything hashed is a
+/// function of the canonical key, and the encoding is unambiguous, so
+/// equal keys give equal fingerprints and distinct keys distinct ones
+/// (up to collisions). `cached` = false ignores every cached digest.
+support::Fingerprint fingerprint(const Configuration& cfg, bool cached) {
+  const CanonOrder& c = canonical_order(cfg, cached);
+  support::ConfigHasher h;
+
+  h.word(c.order.size());
+  for (const ObjId obj : c.order) {
+    const Object& o = cfg.store.object(obj);
+    const ObjectDigest d =
+        cached && o.sealed ? ObjectDigest{o.digest, o.has_refs} : object_digest(o);
+    h.digest(d.digest);
+    if (!d.has_refs) continue;
+    for (const Value& v : o.cells) {
+      if (v.is_ptr()) h.word(c.canon_obj(v.ptr_obj()));
+      if (v.is_closure() && v.closure_env() != kNoObj) h.word(c.canon_obj(v.closure_env()));
+    }
+  }
+
+  h.word(c.live.size());
+  for (const Pid pid : c.live) {
+    const Process& p = cfg.processes[pid];
+    h.digest(cached && p.sealed ? p.digest : process_digest(p));
+    for (const Frame& f : p.frames) {
+      h.pair(c.canon_obj(f.frame_obj), f.has_ret_dst ? c.canon_obj(f.ret_obj) : kUnset);
+    }
+  }
+
+  h.word(c.locks.size());
+  for (const auto& [obj, off, owner] : c.locks) {
+    h.pair(obj, off);
+    h.word(owner);
+  }
+
+  h.word(cfg.violations.size());
+  for (const std::uint32_t v : cfg.violations) h.word(v);
+  h.word(cfg.faults.size());
+  for (const auto& [stmt, kind] : cfg.faults) h.pair(stmt, kind);
+  return h.finalize();
 }
 
 }  // namespace
 
-std::string Configuration::canonical_key() const {
-  ByteSink sink;
-  serialize_canonical(*this, sink);
-  return sink.take();
-}
+std::string Configuration::canonical_key() const { return serialize_key(*this); }
 
 support::Fingerprint Configuration::canonical_fingerprint() const {
-  support::Fp128Hasher sink;
-  serialize_canonical(*this, sink);
-  return sink.finalize();
+  return fingerprint(*this, /*cached=*/true);
+}
+
+support::Fingerprint Configuration::recomputed_fingerprint() const {
+  return fingerprint(*this, /*cached=*/false);
 }
 
 std::vector<bool> reachable_objects(const Configuration& cfg) {

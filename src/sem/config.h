@@ -15,6 +15,18 @@
 //
 // Birthdates and procedure strings are *included* in the key: this is the
 // paper's instrumented semantics, whose states carry that history.
+//
+// The engines deduplicate by a 128-bit *fingerprint* of that canonical
+// form rather than by the key string. It is built from digests cached on
+// the copy-on-write handles — one per process (process_digest) and one per
+// store object (object_digest), each covering what renumbering leaves
+// alone — plus the renumbered references, so a transition that changes one
+// process and one object rehashes only those two. Whoever mutates a handle
+// clears its digest; the owner of a fresh successor recomputes the cleared
+// ones (seal(), called by apply_action) before the successor is shared, and
+// a digest is never stored into a handle that may be shared. A missing
+// digest is computed on the fly, so hand-built configurations fingerprint
+// correctly too.
 #pragma once
 
 #include <cstddef>
@@ -70,6 +82,10 @@ struct Process {
   Pid parent = kNoPid;
   std::uint32_t pending_children = 0;
   std::vector<PathElem> path;
+  /// Cached process_digest(*this); valid iff `sealed`. Written only by the
+  /// table that owns the process exclusively (ProcessTable::seal).
+  support::Fingerprint digest;
+  bool sealed = false;
 
   [[nodiscard]] bool live() const noexcept { return status == ProcStatus::Running; }
   [[nodiscard]] const Frame& top() const { return frames.back(); }
@@ -96,6 +112,12 @@ std::string_view fault_name(Fault f);
 /// handle accounting unit for the frontier-bytes gauge.
 [[nodiscard]] std::size_t process_bytes(const Process& p) noexcept;
 
+/// The canonical digest of a process: its fork path, procedure string,
+/// pending-children count, and each frame's proc, pc, return flag and
+/// return offset — every field renumbering leaves alone. The frame and
+/// return objects are added, renumbered, by the canonical walk.
+[[nodiscard]] support::Fingerprint process_digest(const Process& p) noexcept;
+
 /// The process vector of a configuration, with structural sharing: copying
 /// a ProcessTable copies one refcounted handle per process. Reads go
 /// through const access; the stepper clones exactly the processes it
@@ -110,10 +132,14 @@ class ProcessTable {
 
   /// The COW seam: mutable access to one process, cloning it first iff its
   /// handle is shared with another table. Same ownership contract as
-  /// Store::mutate.
+  /// Store::mutate, and like it clears the process's cached digest.
   [[nodiscard]] Process& mutate(Pid pid);
 
   void push_back(Process&& p);
+
+  /// Recomputes the digests mutate() and push_back() cleared, for the live
+  /// processes this table owns alone (as Store::seal).
+  void seal();
 
   /// Const forward iterator dereferencing through the handles, so existing
   /// `for (const Process& p : cfg.processes)` loops keep working.
@@ -152,6 +178,7 @@ class ProcessTable {
   using Handle = std::shared_ptr<Process>;
   static Handle track(Process&& p);
   std::vector<Handle> procs_;
+  support::DirtyIds dirty_;  // processes unsealed since the last seal()
 };
 
 class Configuration {
@@ -180,11 +207,24 @@ class Configuration {
   /// equivalent configurations. See file header for what it includes.
   [[nodiscard]] std::string canonical_key() const;
 
-  /// 128-bit hash of exactly the byte stream canonical_key() would produce
-  /// (the serialization traversal is shared, so the two cannot diverge),
-  /// without materializing it. Equal keys => equal fingerprints; the
+  /// 128-bit fingerprint of the canonical form, folded from the cached
+  /// process and object digests and the renumbered references (same
+  /// traversal as canonical_key()). Equal keys => equal fingerprints; the
   /// converse fails only on a 2^-128-ish hash collision.
   [[nodiscard]] support::Fingerprint canonical_fingerprint() const;
+
+  /// canonical_fingerprint() with every cached digest ignored and
+  /// recomputed from the fields: the reference the staleness tests compare
+  /// the cached path against.
+  [[nodiscard]] support::Fingerprint recomputed_fingerprint() const;
+
+  /// Computes the digests this configuration's mutations cleared (see the
+  /// file header). apply_action() and initial() call it; the caller must
+  /// own the configuration exclusively, as for any mutation.
+  void seal() {
+    store.seal();
+    processes.seal();
+  }
 
   /// Convenience for tests/benches: current value of global `name`.
   [[nodiscard]] std::optional<Value> global_value(std::string_view name) const;

@@ -426,10 +426,18 @@ Configuration apply_decoded(const Configuration& cfg, Pid pid, const Decoded& d)
   return next;
 }
 
+/// Fires and seals: the successor is still this thread's alone, so its
+/// cleared digests are computed here, before any engine can share it.
+Configuration apply_sealed(const Configuration& cfg, Pid pid, const Decoded& d) {
+  Configuration next = apply_decoded(cfg, pid, d);
+  next.seal();
+  return next;
+}
+
 }  // namespace
 
 Configuration apply_action(const Configuration& cfg, Pid pid) {
-  return apply_decoded(cfg, pid, decode(cfg, pid));
+  return apply_sealed(cfg, pid, decode(cfg, pid));
 }
 
 Configuration apply_action(const Configuration& cfg, const ActionInfo& info) {
@@ -439,7 +447,7 @@ Configuration apply_action(const Configuration& cfg, const ActionInfo& info) {
   d.instr = info.instr;
   d.proc = info.proc;
   d.pc = info.pc;
-  return apply_decoded(cfg, info.pid, d);
+  return apply_sealed(cfg, info.pid, d);
 }
 
 }  // namespace copar::sem

@@ -69,7 +69,8 @@ struct ActionInfo {
 [[nodiscard]] std::vector<ActionInfo> all_action_infos(const Configuration& cfg);
 
 /// Fires `pid`'s next action. Precondition: action exists and is enabled.
-/// Returns the successor configuration (cfg is not modified).
+/// Returns the successor configuration, sealed (see Configuration::seal);
+/// cfg is not modified.
 [[nodiscard]] Configuration apply_action(const Configuration& cfg, Pid pid);
 
 /// Fires the action `info` describes without re-decoding the instruction —

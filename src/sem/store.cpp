@@ -32,7 +32,9 @@ ObjId Store::allocate(ObjKind kind, std::uint32_t site, std::uint32_t creator, P
   obj.cells.assign(ncells, Value::integer(0));
   next_base_ += ncells;
   objects_.push_back(track(std::move(obj)));
-  return static_cast<ObjId>(objects_.size() - 1);
+  const auto id = static_cast<ObjId>(objects_.size() - 1);
+  dirty_.add(id);
+  return id;
 }
 
 const Object& Store::object(ObjId id) const {
@@ -52,7 +54,76 @@ Object& Store::mutate(ObjId id) {
   } else {
     cowstats::note_object_shared();
   }
+  if (h->sealed) {
+    h->sealed = false;
+    dirty_.add(id);
+  }
   return *h;
+}
+
+void Store::seal() {
+  dirty_.drain(static_cast<std::uint32_t>(objects_.size()), [&](ObjId id) {
+    Handle& h = objects_[id];
+    if (h.use_count() != 1 || h->sealed) return;
+    const ObjectDigest d = object_digest(*h);
+    h->digest = d.digest;
+    h->has_refs = d.has_refs;
+    h->sealed = true;
+  });
+}
+
+void hash_pstring(support::ConfigHasher& h, const ProcString& s) noexcept {
+  h.word(s.size());
+  for (const PSym& sym : s.syms()) {
+    // Call/Ret symbols carry branch 0; a nonzero branch takes a second word,
+    // flagged in the first so the encoding stays unambiguous.
+    const bool branch = sym.branch != 0;
+    h.word(sym.id | (static_cast<std::uint64_t>(sym.kind) << 32) |
+           (static_cast<std::uint64_t>(branch) << 34));
+    if (branch) h.word(sym.branch);
+  }
+}
+
+ObjectDigest object_digest(const Object& o) noexcept {
+  constexpr std::uint64_t kObjectDomain = 0x6f626a656374ULL;  // "object"
+  support::ConfigHasher h(kObjectDomain);
+  ObjectDigest d;
+  h.pair(static_cast<std::uint32_t>(o.obj_kind), o.site);
+  hash_pstring(h, o.birth);
+  h.word(o.cells.size());
+  // One payload word per cell; the cell kinds, two bits each, follow every
+  // 32 cells (and the last partial group) in a word of their own.
+  std::uint64_t kinds = 0;
+  std::size_t i = 0;
+  for (const Value& v : o.cells) {
+    std::uint64_t payload = 0;
+    switch (v.kind()) {
+      case VKind::Int:
+        payload = static_cast<std::uint64_t>(v.as_int());
+        break;
+      case VKind::Null:
+        break;
+      case VKind::Ptr:
+        payload = v.ptr_off();
+        d.has_refs = true;
+        break;
+      case VKind::Closure: {
+        const bool env = v.closure_env() != kNoObj;
+        payload = v.closure_proc() | (static_cast<std::uint64_t>(env) << 32);
+        d.has_refs |= env;
+        break;
+      }
+    }
+    h.word(payload);
+    kinds |= static_cast<std::uint64_t>(v.kind()) << (2 * (i % 32));
+    if (++i % 32 == 0) {
+      h.word(kinds);
+      kinds = 0;
+    }
+  }
+  if (i % 32 != 0) h.word(kinds);
+  d.digest = h.finalize();
+  return d;
 }
 
 bool Store::in_bounds(ObjId obj, std::uint32_t off) const noexcept {

@@ -15,7 +15,10 @@
 // through the COW seam `mutate(id)`, which clones an object only on the
 // first write after a share (see docs/STATE_REPRESENTATION.md for the
 // ownership discipline that makes the refcount test sound in the parallel
-// engine).
+// engine). Each object also caches its canonical digest (object_digest);
+// mutate() and allocate() clear it and note the object as dirty, and the
+// owner recomputes the dirty digests with seal() before it shares the
+// store.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +29,9 @@
 
 #include "src/sem/procstring.h"
 #include "src/sem/value.h"
+#include "src/support/cow.h"
 #include "src/support/diagnostics.h"
+#include "src/support/fingerprint.h"
 
 namespace copar::sem {
 
@@ -46,7 +51,29 @@ struct Object {
   /// First dense location id of cell 0 within the owning Store.
   std::uint32_t base = 0;
   std::vector<Value> cells;
+  /// Cached object_digest(*this); valid iff `sealed`. Written only by the
+  /// store that owns the object exclusively (Store::seal).
+  support::Fingerprint digest;
+  bool has_refs = false;
+  bool sealed = false;
 };
+
+/// The canonical digest of an object: a hash of everything renumbering
+/// leaves alone — kind, site, birthdate, and every cell, where a reference
+/// (a pointer, or a closure with an environment) contributes its kind and
+/// offset but not its target object. `has_refs` says whether any cell is a
+/// reference; the canonical walk then adds the renumbered targets, in cell
+/// order, after the digest. A closure with no environment is plain data:
+/// the globals frame holds every named function that way.
+struct ObjectDigest {
+  support::Fingerprint digest;
+  bool has_refs = false;
+};
+[[nodiscard]] ObjectDigest object_digest(const Object& o) noexcept;
+
+/// The digest of a procedure string (length, then each symbol) into `h` —
+/// shared by object birthdates and process strings.
+void hash_pstring(support::ConfigHasher& h, const ProcString& s) noexcept;
 
 /// Deep size of an object (the handle accounting unit for the
 /// frontier-bytes gauge). Cells never grow after allocation, so this is
@@ -62,8 +89,14 @@ class Store {
   [[nodiscard]] const Object& object(ObjId id) const;
   /// The COW seam: mutable access to an object, cloning it first iff its
   /// handle is shared with another Store. Callers must hold exclusive
-  /// ownership of this *Store* (one worker, one configuration).
+  /// ownership of this *Store* (one worker, one configuration). Clears the
+  /// object's cached digest and notes it for seal().
   [[nodiscard]] Object& mutate(ObjId id);
+  /// Recomputes the cached digest of every object mutated or allocated
+  /// since the last seal whose handle this store owns alone; a shared one
+  /// is left unsealed (the canonical walk computes its digest on the fly).
+  /// Same ownership contract as mutate().
+  void seal();
   [[nodiscard]] std::size_t num_objects() const noexcept { return objects_.size(); }
   /// One past the largest dense location id.
   [[nodiscard]] std::size_t num_locations() const noexcept { return next_base_; }
@@ -90,6 +123,7 @@ class Store {
   static Handle track(Object&& o);
 
   std::vector<Handle> objects_;
+  support::DirtyIds dirty_;  // objects unsealed since the last seal()
   std::uint32_t next_base_ = 0;
 };
 

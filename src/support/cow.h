@@ -17,6 +17,8 @@
 //     a shared mutation.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -53,6 +55,41 @@ class CowBox {
 
  private:
   std::shared_ptr<T> p_;
+};
+
+/// The handles of one COW container (a store, a process table) whose cached
+/// digests a mutation cleared since the container was last sealed. A few
+/// ids live inline — a transition dirties one process and one or two
+/// objects — so noting one never allocates; past that the list only
+/// remembers that it overflowed, and draining it visits every handle.
+class DirtyIds {
+ public:
+  void add(std::uint32_t id) noexcept {
+    if (n_ < kInline) {
+      ids_[n_++] = id;
+    } else {
+      overflow_ = true;
+    }
+  }
+
+  /// Calls `f(id)` for each noted id, or for every id below `size` after an
+  /// overflow, and empties the list.
+  template <class F>
+  void drain(std::uint32_t size, F&& f) {
+    if (overflow_) {
+      for (std::uint32_t id = 0; id < size; ++id) f(id);
+    } else {
+      for (std::uint32_t k = 0; k < n_; ++k) f(ids_[k]);
+    }
+    n_ = 0;
+    overflow_ = false;
+  }
+
+ private:
+  static constexpr std::uint32_t kInline = 6;
+  std::array<std::uint32_t, kInline> ids_{};
+  std::uint32_t n_ = 0;
+  bool overflow_ = false;
 };
 
 }  // namespace copar::support

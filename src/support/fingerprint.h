@@ -1,20 +1,27 @@
-// 128-bit configuration fingerprints and the open-addressing table that
-// stores them.
+// 128-bit configuration fingerprints, the hashers that produce them, and
+// the open-addressing table that stores them.
 //
-// The exploration engines deduplicate configurations by canonical
-// serialization. Storing one full serialized key per distinct configuration
-// (hundreds of bytes each) makes memory — not reduction quality — the
-// practical bound on the explorable space. A fingerprint keeps 16 bytes per
-// configuration instead: the canonical byte stream is hashed *while it is
-// produced* (the same traversal that would build the key string feeds the
-// hasher, so key and fingerprint cannot diverge), and membership is tracked
-// in an open-addressing table of (fingerprint, id) pairs.
+// The exploration engines deduplicate configurations by canonical identity.
+// Storing one full serialized key per distinct configuration (hundreds of
+// bytes each) makes memory — not reduction quality — the practical bound on
+// the explorable space. A fingerprint keeps 16 bytes per configuration
+// instead, and membership is tracked in an open-addressing table of
+// (fingerprint, id) pairs.
 //
-// The price is a 2^-128-ish chance of a collision silently merging two
-// distinct configurations. Engines expose an opt-out (`--exact-keys`) that
-// keeps full key strings and cross-checks them against the fingerprints,
-// counting observed collisions (`fingerprint_collisions`) for
-// collision-paranoid runs.
+// Two hashers live here. Fp128Hasher hashes a little-endian byte stream
+// (the byte-sink interface of the canonical-key serializer); the golden
+// digests of the differential tests use it. ConfigHasher is a word-level
+// combiner: configurations fold their per-process and per-object digests
+// (cached on the copy-on-write handles, see src/sem/config.h) and their few
+// renumbered references into it, so a fingerprint no longer hashes the
+// key's bytes. The contract is the same: equal canonical keys give equal
+// fingerprints; distinct keys give distinct fingerprints except for a
+// 2^-128-ish collision.
+//
+// That collision would silently merge two distinct configurations. Engines
+// expose an opt-out (`--exact-keys`) that keeps full key strings and
+// cross-checks them against the fingerprints, counting observed collisions
+// (`fingerprint_collisions`) for collision-paranoid runs.
 #pragma once
 
 #include <cstddef>
@@ -123,6 +130,50 @@ class Fp128Hasher {
   std::uint64_t buf_ = 0;
   std::uint64_t len_ = 0;
   int nbuf_ = 0;
+};
+
+/// Word-level two-lane combiner for configuration fingerprints and the
+/// per-process and per-object digests they are built from. Each lane folds
+/// a 64-bit word with one 64x64->128 multiply (the high and low halves
+/// xored), so a word costs a few cycles where Fp128Hasher's byte stream
+/// costs two full mixes; the lanes differ in seed and multiplier, and
+/// finalize() mixes in the word count. The `domain` seed keeps the digests
+/// of different record kinds apart. Callers must feed an unambiguous
+/// encoding (length prefixes): equal word sequences give equal digests.
+class ConfigHasher {
+ public:
+  explicit constexpr ConfigHasher(std::uint64_t domain = 0) noexcept
+      : a_(0x243f6a8885a308d3ULL ^ domain), b_(0x13198a2e03707344ULL ^ hash_mix(domain)) {}
+
+  void word(std::uint64_t w) noexcept {
+    a_ = fold(a_ ^ w, 0x9e3779b97f4a7c15ULL);
+    b_ = fold(b_ ^ w, 0xd6e8feb86659fd93ULL);
+    n_ += 1;
+  }
+  void pair(std::uint32_t lo, std::uint32_t hi) noexcept {
+    word(static_cast<std::uint64_t>(lo) | (static_cast<std::uint64_t>(hi) << 32));
+  }
+  void digest(const Fingerprint& d) noexcept {
+    word(d.hi);
+    word(d.lo);
+  }
+
+  [[nodiscard]] Fingerprint finalize() const noexcept {
+    Fingerprint fp{hash_mix(a_ + n_), hash_mix(b_ ^ (n_ * 0x5851f42d4c957f2dULL))};
+    // Reserve hi == 0 for the table's empty/tombstone markers.
+    if (fp.hi == 0) fp.hi = 1;
+    return fp;
+  }
+
+ private:
+  static std::uint64_t fold(std::uint64_t x, std::uint64_t k) noexcept {
+    const unsigned __int128 r = static_cast<unsigned __int128>(x) * k;
+    return static_cast<std::uint64_t>(r) ^ static_cast<std::uint64_t>(r >> 64);
+  }
+
+  std::uint64_t a_;
+  std::uint64_t b_;
+  std::uint64_t n_ = 0;
 };
 
 /// Open-addressing (linear probing) hash table mapping fingerprints to

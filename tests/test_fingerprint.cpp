@@ -1,16 +1,13 @@
-// Unit tests of the 128-bit streaming fingerprint and the open-addressing
-// fingerprint table, plus the key/fingerprint consistency contract on real
-// configurations.
+// Unit tests of the two 128-bit hashers and the open-addressing fingerprint
+// table. The key/fingerprint contract on real configurations is tested in
+// test_config_fingerprint.cpp.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 #include <vector>
 
-#include "src/explore/explorer.h"
-#include "src/sem/program.h"
 #include "src/support/fingerprint.h"
-#include "src/workload/paper_examples.h"
 
 namespace copar::support {
 namespace {
@@ -134,26 +131,49 @@ TEST(FingerprintTable, SurvivesGrowthWithManyEntries) {
   EXPECT_LT(t.memory_bytes(), kN * 4 * (sizeof(Fingerprint) + sizeof(std::uint32_t)));
 }
 
-TEST(ConfigFingerprint, AgreesWithCanonicalKey) {
-  // Two configurations have equal fingerprints iff their canonical keys are
-  // equal — the serialization traversal is shared, so this checks the hash
-  // plumbing, not the canonicalization itself.
-  auto prog = compile(workload::fig2_shasha_snir());
-  explore::ExploreOptions opts;
-  const auto r = explore::explore(*prog->lowered, opts);
+TEST(ConfigHasher, OrderLengthAndDomainSensitive) {
+  auto fp = [](std::uint64_t domain, std::initializer_list<std::uint64_t> words) {
+    ConfigHasher h(domain);
+    for (const std::uint64_t w : words) h.word(w);
+    return h.finalize();
+  };
+  EXPECT_EQ(fp(0, {1, 2, 3}), fp(0, {1, 2, 3}));
+  EXPECT_NE(fp(0, {1, 2, 3}), fp(0, {3, 2, 1}));
+  EXPECT_NE(fp(0, {1, 2}), fp(0, {1, 2, 0}));
+  EXPECT_NE(fp(0, {}), fp(0, {0}));
+  EXPECT_NE(fp(0, {1, 2}), fp(1, {1, 2}));
+  ConfigHasher a;
+  a.pair(1, 2);
+  ConfigHasher b;
+  b.word(std::uint64_t{2} << 32 | 1);
+  EXPECT_EQ(a.finalize(), b.finalize());
+  ConfigHasher c;
+  c.digest(Fingerprint{5, 6});
+  EXPECT_EQ(c.finalize(), fp(0, {5, 6}));
+}
 
-  std::set<std::string> keys;
-  std::set<std::pair<std::uint64_t, std::uint64_t>> fps;
-  for (const auto& [key, t] : r.terminals) {
-    EXPECT_EQ(t.config.canonical_key(), key);
-    const Fingerprint fp = t.config.canonical_fingerprint();
-    EXPECT_EQ(fp, t.config.canonical_fingerprint());  // stable
-    keys.insert(key);
-    fps.emplace(fp.hi, fp.lo);
+TEST(ConfigHasher, DistinctOnDenseSmallInputs) {
+  // Structured inputs like the canonical walk's (small ids, many zero
+  // words) must not collide: every sequence of one to three words over a
+  // small alphabet gets its own fingerprint, and none is a reserved marker.
+  std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
+  std::size_t n = 0;
+  auto add = [&](std::initializer_list<std::uint64_t> words) {
+    ConfigHasher h;
+    for (const std::uint64_t w : words) h.word(w);
+    const Fingerprint fp = h.finalize();
+    EXPECT_NE(fp.hi, 0u);
+    seen.emplace(fp.hi, fp.lo);
+    n += 1;
+  };
+  for (std::uint64_t x = 0; x < 40; ++x) {
+    add({x});
+    for (std::uint64_t y = 0; y < 40; ++y) {
+      add({x, y});
+      for (std::uint64_t z = 0; z < 40; ++z) add({x, y, z});
+    }
   }
-  // Distinct keys must give distinct fingerprints (no collisions among the
-  // handful of terminals here).
-  EXPECT_EQ(keys.size(), fps.size());
+  EXPECT_EQ(seen.size(), n);
 }
 
 }  // namespace

@@ -150,6 +150,46 @@ std::optional<std::uint64_t> parse_count(std::string_view v,
   return n;
 }
 
+/// The value of `flag` in either the `--flag=value` or the `--flag value`
+/// form; empty when the flag is absent or has no value.
+std::string flag_eq_or_space(const std::vector<std::string>& args, std::string_view flag) {
+  const std::string prefix = std::string(flag) + "=";
+  for (const std::string& a : args) {
+    if (a.size() > prefix.size() && a.compare(0, prefix.size(), prefix) == 0) {
+      return a.substr(prefix.size());
+    }
+  }
+  return flag_value(args, flag);
+}
+
+/// True when `flag` appears bare: `--flag` (its value may follow) or an
+/// empty `--flag=`.
+bool flag_given(const std::vector<std::string>& args, std::string_view flag) {
+  return has_flag(args, flag) || has_flag(args, std::string(flag) + "=");
+}
+
+/// Parses an optional count flag (either form) into `*out`. Prints the
+/// error and returns false when the flag is given without a valid count
+/// (see parse_count); leaves `*out` alone when the flag is absent.
+bool parse_count_flag(const std::vector<std::string>& args, std::string_view flag,
+                      std::uint64_t* out, std::uint64_t max = UINT64_MAX) {
+  const std::string v = flag_eq_or_space(args, flag);
+  if (v.empty()) {
+    if (flag_given(args, flag)) {
+      std::cerr << "error: " << flag << " requires a value\n";
+      return false;
+    }
+    return true;
+  }
+  const auto n = parse_count(v, max);
+  if (!n) {
+    std::cerr << "error: " << flag << " expects a positive integer, got '" << v << "'\n";
+    return false;
+  }
+  *out = *n;
+  return true;
+}
+
 /// Observability switches, stripped from the arg list before command
 /// dispatch so every command accepts them uniformly.
 struct GlobalOpts {
@@ -278,30 +318,12 @@ int parse_explore_opts(const std::vector<std::string>& args,
   if (has_flag(args, "--coarsen")) opts.coarsen = true;
   if (has_flag(args, "--sleep")) opts.sleep_sets = true;
   if (has_flag(args, "--exact-keys")) opts.exact_keys = true;
-  if (has_flag(args, "--max-configs") && flag_value(args, "--max-configs").empty()) {
-    std::cerr << "error: --max-configs expects a positive integer\n";
-    return 2;
-  }
-  if (const std::string v = flag_value(args, "--max-configs"); !v.empty()) {
-    const auto n = parse_count(v);
-    if (!n) {
-      std::cerr << "error: --max-configs expects a positive integer, got '" << v << "'\n";
-      return 2;
-    }
-    opts.max_configs = *n;
-  }
-  if (has_flag(args, "--threads") && flag_value(args, "--threads").empty()) {
-    std::cerr << "error: --threads expects a positive integer\n";
-    return 2;
-  }
-  if (const std::string v = flag_value(args, "--threads"); !v.empty()) {
-    const auto n = parse_count(v, 1024);
-    if (!n) {
-      std::cerr << "error: --threads expects a positive integer, got '" << v << "'\n";
-      return 2;
-    }
-    opts.threads = static_cast<unsigned>(*n);
-  }
+  std::uint64_t max_configs = opts.max_configs;
+  if (!parse_count_flag(args, "--max-configs", &max_configs)) return 2;
+  opts.max_configs = max_configs;
+  std::uint64_t threads = opts.threads;
+  if (!parse_count_flag(args, "--threads", &threads, 1024)) return 2;
+  opts.threads = static_cast<unsigned>(threads);
   if (const auto d = explore::parallel_unsupported(opts)) {
     std::cerr << "error (" << d->code << "): " << d->message << '\n';
     return 2;
@@ -462,15 +484,8 @@ int cmd_analyze_tmod(const copar::CompiledProgram& p, const std::string& path,
 int cmd_analyze(const copar::CompiledProgram& p, const std::string& path,
                 const std::vector<std::string>& args, const GlobalOpts& g) {
   using namespace copar;
-  std::string engine_name = flag_value(args, "--engine");
-  bool engine_given = has_flag(args, "--engine");
-  for (const std::string& a : args) {
-    if (a.rfind("--engine=", 0) == 0) {
-      engine_given = true;
-      if (engine_name.empty()) engine_name = a.substr(9);
-    }
-  }
-  if (engine_given && engine_name.empty()) {
+  const std::string engine_name = flag_eq_or_space(args, "--engine");
+  if (engine_name.empty() && flag_given(args, "--engine")) {
     std::cerr << "error: --engine requires a value (explore|tmod)\n";
     return 2;
   }
@@ -676,38 +691,10 @@ int cmd_check(const std::string& path, const std::string& source,
   const bool sarif = has_flag(args, "--sarif");
   check::CheckOptions copts;
   if (has_flag(args, "--no-witness")) copts.witnesses = false;
-  // Accept both `--flag value` and `--flag=value` (CI scripts use the
-  // latter for the tier switches).
-  auto flag_eq_or_space = [&](std::string_view flag) -> std::string {
-    const std::string prefix = std::string(flag) + "=";
-    for (const std::string& a : args) {
-      if (a.size() > prefix.size() && a.compare(0, prefix.size(), prefix) == 0) {
-        return a.substr(prefix.size());
-      }
-    }
-    return flag_value(args, flag);
-  };
-  auto parse_positive = [&](std::string_view flag, std::uint64_t* out) -> bool {
-    const std::string v = flag_eq_or_space(flag);
-    if (v.empty()) {
-      if (has_flag(args, flag)) {
-        std::cerr << "error: " << flag << " requires a value\n";
-        return false;
-      }
-      return true;
-    }
-    const auto n = parse_count(v);
-    if (!n) {
-      std::cerr << "error: " << flag << " expects a positive integer, got '" << v << "'\n";
-      return false;
-    }
-    *out = *n;
-    return true;
-  };
-  if (!parse_positive("--max-configs", &copts.max_configs)) return 2;
-  if (!parse_positive("--pair-budget", &copts.pair_budget)) return 2;
-  if (const std::string v = flag_eq_or_space("--tier"); v.empty()) {
-    if (has_flag(args, "--tier")) {
+  if (!parse_count_flag(args, "--max-configs", &copts.max_configs)) return 2;
+  if (!parse_count_flag(args, "--pair-budget", &copts.pair_budget)) return 2;
+  if (const std::string v = flag_eq_or_space(args, "--tier"); v.empty()) {
+    if (flag_given(args, "--tier")) {
       std::cerr << "error: --tier requires a value (auto|static|explore|tmod)\n";
       return 2;
     }
@@ -924,8 +911,14 @@ int cmd_metrics_dump(const copar::CompiledProgram& p, const std::vector<std::str
   using namespace copar;
   explore::ExploreOptions opts;
   if (const int rc = parse_explore_opts(args, opts); rc != 0) return rc;
-  std::string format = flag_value(args, "--format");
-  if (format.empty()) format = "json";
+  std::string format = flag_eq_or_space(args, "--format");
+  if (format.empty()) {
+    if (flag_given(args, "--format")) {
+      std::cerr << "error: --format requires a value (json|prom|text)\n";
+      return 2;
+    }
+    format = "json";
+  }
   if (format != "json" && format != "prom" && format != "text") {
     std::cerr << "error: --format expects json, prom, or text, got '" << format << "'\n";
     return 2;
