@@ -7,6 +7,16 @@
 // one narrowing pass with the exact guarantee join then produces the
 // reported facts.
 //
+// A widened round analyzes only the dirty roots: new ones, and those whose
+// seed or widened rely grew since their last analysis (or whose analysis
+// discovered a call to the entry proc, which changes branch refinement
+// without requeueing). A clean root's last analysis ran its monotone
+// worklist to the fixpoint under the same rely and seed, so re-running it
+// would grow nothing: skipping it leaves every round, rely, guarantee and
+// finding as it was, and saves only point evaluations. The relies are the
+// joins of all guarantees but one, built from prefix and suffix joins in
+// O(T) joins per round instead of O(T²).
+//
 // The abstract semantics is AbsExplorer's own evaluator (abseval.h), not a
 // copy. Exactly four things differ, all set as data or kept here:
 //   - reads join the rely: own-store ⊔ rely, so a strong own-store update
@@ -80,7 +90,10 @@ class ThreadModular {
   void seed_child(std::uint32_t child, const Store& store) {
     if (ev_.recording) return;
     auto [it, fresh] = seeds_.emplace(child, store);
-    if (fresh || absdom::widen_into(it->second, store)) grew_ = true;
+    if (fresh || absdom::widen_into(it->second, store)) {
+      grew_ = true;
+      dirty_.insert(child);
+    }
   }
 
   void note_access(const AbsLoc& loc, bool is_write) {
@@ -92,6 +105,9 @@ class ThreadModular {
   void analyze(std::uint32_t root, ThreadState& ts, const Interference<N>& rely,
                const Store& seed);
   void transfer(Point pt, const Store& store);
+  [[nodiscard]] std::vector<Interference<N>> raw_relies(
+      const std::map<std::uint32_t, ThreadState>& threads,
+      const std::vector<std::uint32_t>& roots) const;
   [[nodiscard]] TmodRaceReport make_races() const;
 
   const sem::LoweredProgram& prog_;
@@ -105,6 +121,8 @@ class ThreadModular {
 
   /// Thread roots and their (widened) entry stores.
   std::map<std::uint32_t, Store> seeds_;
+  /// Roots the next widened analysis must not skip (see the file comment).
+  std::set<std::uint32_t> dirty_;
   /// (thread, stmt, loc, is_write, sync) -> must-lock mask (intersected).
   std::map<std::tuple<std::uint32_t, std::uint32_t, AbsLoc, bool, bool>, std::uint64_t>
       access_masks_;
@@ -128,6 +146,7 @@ void ThreadModular<N>::analyze(std::uint32_t root, ThreadState& ts,
   ev_.rely = &rely;
   ev_.guarantee = &ts.guarantee;
   worklist_.clear();
+  const bool entry_called = ts.conts.contains(prog_.entry_proc());
   // Re-evaluate every known point: a grown rely can change any transfer
   // that reads shared state. Monotone, so this terminates.
   for (const auto& [pt, st] : ts.states) worklist_.insert(pt);
@@ -141,6 +160,9 @@ void ThreadModular<N>::analyze(std::uint32_t root, ThreadState& ts,
     transfer(pt, *snapshot);
     ++evals_;
   }
+  // Points evaluated before the first call to the entry proc refined its
+  // frame, and nothing requeued them: the next round must re-evaluate.
+  if (!entry_called && ts.conts.contains(prog_.entry_proc())) dirty_.insert(root);
 }
 
 template <NumDomain N>
@@ -258,6 +280,35 @@ void ThreadModular<N>::transfer(Point pt, const Store& store) {
     for (const AbsLoc& loc : ev_.writes()) note_access(loc, /*is_write=*/true);
   }
 }
+
+/// Per root r of `roots` (ascending): the join of the guarantee of every
+/// analyzed thread but r, plus r's own when two instances of r may run at
+/// once. Built from one suffix pass and one running prefix, so T roots cost
+/// O(T) joins; a root not analyzed yet gets the join of them all.
+template <NumDomain N>
+std::vector<Interference<N>> ThreadModular<N>::raw_relies(
+    const std::map<std::uint32_t, ThreadState>& threads,
+    const std::vector<std::uint32_t>& roots) const {
+  std::vector<std::pair<std::uint32_t, const Interference<N>*>> gs;
+  gs.reserve(threads.size());
+  for (const auto& [r, ts] : threads) gs.emplace_back(r, &ts.guarantee);
+  // suffix[i]: the join of gs[i..].
+  std::vector<Interference<N>> suffix(gs.size() + 1);
+  for (std::size_t i = gs.size(); i-- > 0;) suffix[i] = suffix[i + 1].join(*gs[i].second);
+  std::vector<Interference<N>> out;
+  out.reserve(roots.size());
+  Interference<N> prefix;  // the join of gs[..i)
+  std::size_t i = 0;
+  for (const std::uint32_t r : roots) {
+    for (; i < gs.size() && gs[i].first < r; ++i) prefix = prefix.join(*gs[i].second);
+    const bool own = i < gs.size() && gs[i].first == r;
+    Interference<N> raw = prefix.join(suffix[own ? i + 1 : i]);
+    if (own && self_par(r)) raw = raw.join(*gs[i].second);
+    out.push_back(std::move(raw));
+  }
+  return out;
+}
+
 template <NumDomain N>
 TmodRaceReport ThreadModular<N>::make_races() const {
   struct PairAgg {
@@ -312,28 +363,33 @@ TmodResult<N> ThreadModular<N>::run() {
 
   // Initializers run before any fork: no rely, nothing recorded.
   seeds_.emplace(prog_.entry_proc(), ev_.initial_store());
+  dirty_.insert(prog_.entry_proc());
 
   // --- widened interference rounds ----------------------------------------
   std::map<std::uint32_t, ThreadState> threads;
   std::map<std::uint32_t, Interference<N>> rely_w;
+  auto seeded_roots = [this] {
+    std::vector<std::uint32_t> roots;
+    roots.reserve(seeds_.size());
+    for (const auto& [r, s] : seeds_) roots.push_back(r);
+    return roots;
+  };
   bool converged = false;
   std::uint32_t round = 0;
   while (round < opts_.max_rounds) {
     ++round;
     grew_ = false;
     ev_.guarantee_grew = false;
-    std::vector<std::uint32_t> roots;
-    roots.reserve(seeds_.size());
-    for (const auto& [r, s] : seeds_) roots.push_back(r);
-    for (std::uint32_t r : roots) {
-      analyze(r, threads[r], rely_w[r], seeds_.at(r));
-    }
+    const std::vector<std::uint32_t> roots = seeded_roots();
     for (const std::uint32_t r : roots) {
-      Interference<N> raw;
-      for (const auto& [s, ts2] : threads) {
-        if (s != r || self_par(r)) raw = raw.join(ts2.guarantee);
+      if (dirty_.erase(r) != 0) analyze(r, threads[r], rely_w[r], seeds_.at(r));
+    }
+    const std::vector<Interference<N>> raws = raw_relies(threads, roots);
+    for (std::size_t i = 0; i < roots.size(); ++i) {
+      if (absdom::widen_into(rely_w[roots[i]], raws[i])) {
+        grew_ = true;
+        dirty_.insert(roots[i]);
       }
-      if (absdom::widen_into(rely_w[r], raw)) grew_ = true;
     }
     if (!grew_ && !ev_.guarantee_grew) {
       converged = true;
@@ -344,12 +400,12 @@ TmodResult<N> ThreadModular<N>::run() {
   result_.truncated = !converged;
 
   // --- narrowing: exact relies (plain join of the final guarantees) -------
+  const std::vector<std::uint32_t> all_roots = seeded_roots();
+  const std::vector<Interference<N>> raws = raw_relies(threads, all_roots);
   std::map<std::uint32_t, Interference<N>> rely_final;
-  for (const auto& [r, seed] : seeds_) {
-    Interference<N> raw;
-    for (const auto& [s, ts2] : threads) {
-      if (s != r || self_par(r)) raw = raw.join(ts2.guarantee);
-    }
+  for (std::size_t i = 0; i < all_roots.size(); ++i) {
+    const std::uint32_t r = all_roots[i];
+    const Interference<N>& raw = raws[i];
     // Sound: the final guarantees are a rely/guarantee post-fixpoint, and
     // re-analysis under any rely ⊒ their join can only shrink guarantees.
     // Without convergence the widened relies stay as-is (no narrowing).

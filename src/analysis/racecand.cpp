@@ -126,8 +126,7 @@ std::string CandidateReport::report(const sem::LoweredProgram& prog) const {
   return os.str();
 }
 
-absem::TmodOptions tmod_options(const StaticParallelism& par, const LockSets& locks,
-                                const Mhp& mhp) {
+absem::TmodOptions tmod_options(const StaticParallelism& par, const LockSets& locks) {
   absem::TmodOptions topts;
   if (locks.pristine()) {
     // Tainted lock cells cannot prove mutual exclusion; leaving the hook
@@ -137,7 +136,7 @@ absem::TmodOptions tmod_options(const StaticParallelism& par, const LockSets& lo
     };
   }
   topts.self_parallel = [&par](std::uint32_t p) { return par.parallel_procs(p, p); };
-  topts.parallel = [&mhp](std::uint32_t s, std::uint32_t t) { return mhp.parallel(s, t); };
+  topts.parallel = [&par](std::uint32_t s, std::uint32_t t) { return par.parallel_stmts(s, t); };
   return topts;
 }
 

@@ -23,7 +23,6 @@
 
 #include "src/absem/tmod.h"
 #include "src/analysis/lockset.h"
-#include "src/analysis/mhp.h"
 #include "src/analysis/staticmhp.h"
 #include "src/explore/staticinfo.h"
 #include "src/sem/lower.h"
@@ -64,10 +63,9 @@ CandidateReport race_candidates(const sem::LoweredProgram& prog,
 
 /// The static facts that prune the thread-modular engine
 /// (absem::tmod_analyze): must-locksets prune interference and race pairs
-/// on mutual exclusion, and `mhp` (== par.stmt_mhp()) prunes pairs no
-/// syntactic interleaving can co-schedule. The hooks refer to the three
-/// arguments, which must outlive the returned options.
-absem::TmodOptions tmod_options(const StaticParallelism& par, const LockSets& locks,
-                                const Mhp& mhp);
+/// on mutual exclusion, and `par` prunes pairs no syntactic interleaving
+/// can co-schedule (StaticParallelism::parallel_stmts). The hooks refer to
+/// both arguments, which must outlive the returned options.
+absem::TmodOptions tmod_options(const StaticParallelism& par, const LockSets& locks);
 
 }  // namespace copar::analysis

@@ -1,12 +1,18 @@
 #include "src/analysis/staticmhp.h"
 
-#include <set>
-
 namespace copar::analysis {
 
 StaticParallelism::StaticParallelism(const sem::LoweredProgram& prog,
                                      const explore::StaticInfo& info)
-    : prog_(&prog), n_(prog.procs().size()) {
+    : n_(prog.procs().size()) {
+  for (const sem::Proc& p : prog.procs()) {
+    for (const sem::Instr& i : p.code) {
+      if (i.stmt == nullptr) continue;
+      const std::uint32_t s = i.stmt->id();
+      if (s >= procs_of_.size()) procs_of_.resize(s + 1);
+      if (procs_of_[s].empty() || procs_of_[s].back() != p.id) procs_of_[s].push_back(p.id);
+    }
+  }
   par_.assign(n_ * n_, 0);
   auto mark = [&](std::uint32_t a, std::uint32_t b) {
     par_[a * n_ + b] = 1;
@@ -40,12 +46,10 @@ StaticParallelism::StaticParallelism(const sem::LoweredProgram& prog,
 }
 
 Mhp StaticParallelism::stmt_mhp() const {
-  // Statement ids per proc (dedup; synthesized instructions have no stmt).
-  std::vector<std::set<std::uint32_t>> stmts(n_);
-  for (const sem::Proc& p : prog_->procs()) {
-    for (const sem::Instr& i : p.code) {
-      if (i.stmt != nullptr) stmts[p.id].insert(i.stmt->id());
-    }
+  // Statement ids per proc, ascending: the index inverted.
+  std::vector<std::vector<std::uint32_t>> stmts(n_);
+  for (std::uint32_t s = 0; s < procs_of_.size(); ++s) {
+    for (const std::uint32_t p : procs_of_[s]) stmts[p].push_back(s);
   }
   Mhp out;
   for (std::uint32_t p = 0; p < n_; ++p) {

@@ -438,9 +438,8 @@ CheckSummary run_checks(const CompiledProgram& cp, DiagnosticEngine& engine,
     // The rely/guarantee engine is the sole analysis: no interleaving
     // enumeration, so it answers on programs whose configuration space can
     // never be explored.
-    const analysis::Mhp mhp = st->par.stmt_mhp();
     absem::TmodResult<absdom::Interval> tm = absem::tmod_analyze<absdom::Interval>(
-        prog, analysis::tmod_options(st->par, st->locks, mhp));
+        prog, analysis::tmod_options(st->par, st->locks));
     sum.tmod = {.ran = true, .threads = tm.threads, .rounds = tm.rounds,
                 .truncated = tm.truncated, .interference_facts = tm.interference_facts};
     cands.pairs_total = tm.races.pairs_total;

@@ -199,51 +199,48 @@ struct GlobalOpts {
   double progress_interval_s = 2.0;
   double sample_ms = 0;  // 0: sampler off
   std::string metrics_out;
-  bool missing_trace_path = false;  // `--trace` given as the last argument
+  bool missing_trace_path = false;  // `--trace` without a path
   bool bad_sample = false;          // `--sample` without a positive number
   bool missing_metrics_out = false;
 };
 
+/// A positive decimal number filling all of `v`; 0 otherwise.
+double positive_number(const std::string& v) {
+  char* end = nullptr;
+  const double x = std::strtod(v.c_str(), &end);
+  return !v.empty() && end != nullptr && *end == '\0' && x > 0 ? x : 0;
+}
+
 GlobalOpts extract_global_opts(std::vector<std::string>& args) {
   GlobalOpts g;
+  // The value flags read either form, `--flag=value` or `--flag value`.
+  g.trace_path = flag_eq_or_space(args, "--trace");
+  g.missing_trace_path = g.trace_path.empty() && flag_given(args, "--trace");
+  g.metrics_out = flag_eq_or_space(args, "--metrics-out");
+  g.missing_metrics_out = g.metrics_out.empty() && flag_given(args, "--metrics-out");
+  const std::string sample = flag_eq_or_space(args, "--sample");
+  if (!sample.empty() || flag_given(args, "--sample")) {
+    g.sample_ms = positive_number(sample);
+    g.bad_sample = g.sample_ms == 0;
+  }
   std::vector<std::string> rest;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--json") {
       g.json = true;
-    } else if (a == "--trace") {
-      if (i + 1 < args.size()) {
-        g.trace_path = args[++i];
-      } else {
-        g.missing_trace_path = true;
-      }
+    } else if (a == "--trace" || a == "--metrics-out" || a == "--sample") {
+      ++i;  // its value, read above (a missing or bad one exits 2)
+    } else if (a.starts_with("--trace=") || a.starts_with("--metrics-out=") ||
+               a.starts_with("--sample=")) {
+      // read above
     } else if (a == "--progress") {
       g.progress = true;
       // Optional numeric interval right after the flag.
       if (i + 1 < args.size()) {
-        char* end = nullptr;
-        const double v = std::strtod(args[i + 1].c_str(), &end);
-        if (end != nullptr && *end == '\0' && v > 0) {
+        if (const double v = positive_number(args[i + 1]); v > 0) {
           g.progress_interval_s = v;
           ++i;
         }
-      }
-    } else if (a == "--sample") {
-      g.bad_sample = true;
-      if (i + 1 < args.size()) {
-        char* end = nullptr;
-        const double v = std::strtod(args[i + 1].c_str(), &end);
-        if (end != nullptr && *end == '\0' && v > 0) {
-          g.sample_ms = v;
-          g.bad_sample = false;
-          ++i;
-        }
-      }
-    } else if (a == "--metrics-out") {
-      if (i + 1 < args.size()) {
-        g.metrics_out = args[++i];
-      } else {
-        g.missing_metrics_out = true;
       }
     } else {
       rest.push_back(a);
@@ -367,9 +364,8 @@ int cmd_analyze_tmod(const copar::CompiledProgram& p, const std::string& path,
   const explore::StaticInfo info(prog);
   const analysis::StaticParallelism par(prog, info);
   const analysis::LockSets locks(prog, info);
-  const analysis::Mhp mhp = par.stmt_mhp();
-  const auto r = absem::tmod_analyze<absdom::Interval>(
-      prog, analysis::tmod_options(par, locks, mhp));
+  const auto r =
+      absem::tmod_analyze<absdom::Interval>(prog, analysis::tmod_options(par, locks));
   finish_sampling();
 
   if (g.json) {
