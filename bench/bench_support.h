@@ -89,15 +89,8 @@ inline void write_report(std::ostream& os, const char* binary,
     w.end_object();
   }
   w.end_array();
-  w.key("phases_ms");
-  telemetry::write_phases_ms(w);
-  w.key("phase_counts");
-  telemetry::write_phase_counts(w);
-  w.key("memory");
-  w.begin_object();
-  w.key("peak_rss_bytes");
-  w.value(telemetry::peak_rss_bytes());
-  w.end_object();
+  telemetry::write_phases(w);
+  telemetry::write_memory(w);
   w.end_object();
   os << '\n';
 }

@@ -5,8 +5,22 @@
 
 namespace copar::telemetry {
 
-void write_phases_ms(support::JsonWriter& w) {
+void write_stat_map(support::JsonWriter& w, std::string_view key,
+                    std::initializer_list<const std::map<std::string, std::uint64_t>*> maps) {
+  w.key(key);
+  w.begin_object();
+  for (const auto* map : maps) {
+    for (const auto& [name, value] : *map) {
+      w.key(name);
+      w.value(value);
+    }
+  }
+  w.end_object();
+}
+
+void write_phases(support::JsonWriter& w) {
   const Telemetry& t = Telemetry::global();
+  w.key("phases_ms");
   w.begin_object();
   for (std::size_t i = 0; i < static_cast<std::size_t>(Phase::kCount); ++i) {
     const Phase p = static_cast<Phase>(i);
@@ -15,16 +29,25 @@ void write_phases_ms(support::JsonWriter& w) {
     w.value(static_cast<double>(t.phase_ns(p)) / 1e6);
   }
   w.end_object();
-}
-
-void write_phase_counts(support::JsonWriter& w) {
-  const Telemetry& t = Telemetry::global();
+  w.key("phase_counts");
   w.begin_object();
   for (std::size_t i = 0; i < static_cast<std::size_t>(Phase::kCount); ++i) {
     const Phase p = static_cast<Phase>(i);
     if (t.phase_count(p) == 0) continue;
     w.key(phase_name(p));
     w.value(t.phase_count(p));
+  }
+  w.end_object();
+}
+
+void write_memory(support::JsonWriter& w, std::uint64_t visited_bytes) {
+  w.key("memory");
+  w.begin_object();
+  w.key("peak_rss_bytes");
+  w.value(peak_rss_bytes());
+  if (visited_bytes != 0) {
+    w.key("visited_bytes");
+    w.value(visited_bytes);
   }
   w.end_object();
 }
@@ -62,26 +85,9 @@ void write_json_report(support::JsonWriter& w, std::string_view command, std::st
   w.value(o.exact_keys);
   w.end_object();
 
-  w.key("counters");
-  w.begin_object();
-  for (const auto& [name, value] : r.stats.all()) {
-    w.key(name);
-    w.value(value);
-  }
-  w.end_object();
-
-  w.key("gauges");
-  w.begin_object();
-  for (const auto& [name, value] : r.stats.gauges()) {
-    w.key(name);
-    w.value(value);
-  }
-  w.end_object();
-
-  w.key("phases_ms");
-  telemetry::write_phases_ms(w);
-  w.key("phase_counts");
-  telemetry::write_phase_counts(w);
+  telemetry::write_stat_map(w, "counters", {&r.stats.all()});
+  telemetry::write_stat_map(w, "gauges", {&r.stats.gauges()});
+  telemetry::write_phases(w);
 
   // Engine-recorded timings (per-worker phase attribution from the
   // parallel engine; the global phase timers above cannot see inside
@@ -96,15 +102,7 @@ void write_json_report(support::JsonWriter& w, std::string_view command, std::st
     w.end_object();
   }
 
-  w.key("memory");
-  w.begin_object();
-  w.key("peak_rss_bytes");
-  w.value(telemetry::peak_rss_bytes());
-  if (r.stats.gauge("visited_bytes") != 0) {
-    w.key("visited_bytes");
-    w.value(r.stats.gauge("visited_bytes"));
-  }
-  w.end_object();
+  telemetry::write_memory(w, r.stats.gauge("visited_bytes"));
 
   // Sampler timeline (present only when `--sample` collected anything):
   // the bounded gauge time series, same shape as metrics-dump's

@@ -7,6 +7,10 @@
 // instead of scraping free-form stdout.
 #pragma once
 
+#include <cstdint>
+#include <initializer_list>
+#include <map>
+#include <string>
 #include <string_view>
 
 #include "src/explore/explorer.h"
@@ -25,12 +29,18 @@ void write_json_report(support::JsonWriter& w, std::string_view command, std::st
 
 namespace copar::telemetry {
 
-/// Writes `{"parse": 0.12, ...}` — accumulated self-milliseconds of every
-/// phase that ran, from the global telemetry instance. Callers emit the
-/// surrounding key.
-void write_phases_ms(support::JsonWriter& w);
+/// Writes `"<key>": {"<name>": <value>, ...}` with every entry of each of
+/// `maps`, in turn (a report's "counters" and "gauges").
+void write_stat_map(support::JsonWriter& w, std::string_view key,
+                    std::initializer_list<const std::map<std::string, std::uint64_t>*> maps);
 
-/// Writes `{"<name>": <count>, ...}` — completed scopes per phase that ran.
-void write_phase_counts(support::JsonWriter& w);
+/// Writes the "phases_ms" and "phase_counts" members: the accumulated
+/// self-milliseconds and the completed scopes of every phase that ran,
+/// from the global telemetry instance.
+void write_phases(support::JsonWriter& w);
+
+/// Writes the "memory" member: the peak RSS, then `visited_bytes` when it
+/// is nonzero.
+void write_memory(support::JsonWriter& w, std::uint64_t visited_bytes = 0);
 
 }  // namespace copar::telemetry

@@ -1,5 +1,8 @@
 #include "src/sem/step.h"
 
+#include <cstdint>
+#include <new>
+
 #include "src/sem/eval.h"
 
 namespace copar::sem {
@@ -254,6 +257,9 @@ Configuration apply_decoded(const Configuration& cfg, Pid pid, const Decoded& d)
         const Value nv = ev.eval(*d.instr->rhs);
         if (!nv.is_int()) throw EvalFault{Fault::TypeError, d.instr->rhs->id()};
         if (nv.as_int() < 0) throw EvalFault{Fault::NegativeAlloc, d.instr->rhs->id()};
+        // An object holds at most 2^32 - 1 cells; a larger size must not
+        // wrap into a small object.
+        if (nv.as_int() > UINT32_MAX) throw std::bad_alloc();
         const Address a = ev.addr(*d.instr->lhs);
         if (!next.store.in_bounds(a.obj, a.off)) throw EvalFault{Fault::OutOfBounds, 0};
         const ObjId obj = next.store.allocate(ObjKind::Heap, stmt_id, pid, p.pstr,

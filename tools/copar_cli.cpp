@@ -1,73 +1,26 @@
 // copar-cli — command-line driver for the framework.
 //
-//   copar-cli run <file.cop>                 run all interleavings, print outcomes
-//   copar-cli explore <file.cop> [--stubborn] [--coarsen] [--sleep]
-//                                [--max-configs N] [--threads N] [--exact-keys]
-//                                            state-space statistics; exits 3
-//                                            if the exploration was truncated.
-//                                            --threads N>1 uses the work-
-//                                            stealing engine; --exact-keys
-//                                            keeps full canonical keys (and
-//                                            counts fingerprint collisions)
-//   copar-cli analyze <file.cop> [--engine explore|tmod]
-//                                            §5 analyses + §7 applications report
-//                                            (--engine tmod: the thread-modular
-//                                            rely/guarantee interference report
-//                                            instead — no interleaving
-//                                            enumeration, terminates on any
-//                                            program)
-//   copar-cli abstract <file.cop> [--clan]   abstract exploration summary
-//   copar-cli witness <file.cop> [--deadlock | --violation L | --fault L]
-//                                            print a schedule exhibiting the fact
-//   copar-cli parallelize <file.cop> --labels s1,s2,s3,s4
-//                                            schedule the labeled statements into
-//                                            parallel chains, print the rewritten
-//                                            program, and verify equivalence
-//   copar-cli graph <file.cop> [--stubborn] [--coarsen]
-//                                            Graphviz dot of the configuration graph
-//   copar-cli check <file.cop> [--sarif] [--disable c1,c2] [--no-witness]
-//                              [--tier auto|static|explore|tmod] [--pair-budget N]
-//                              [--max-configs N]
-//                                            static diagnostics (races, faults,
-//                                            uninitialized reads, dead code...);
-//                                            exits 1 on error-severity findings
-//   copar-cli check --list-checks            catalog of check codes
-//   copar-cli disasm <file.cop>              lowered atomic-action code
-//   copar-cli fmt <file.cop>                 pretty-print the parsed program
-//   copar-cli metrics-dump <file.cop> [explore options] [--format json|prom|text]
-//                                            run an exploration and print the
-//                                            MetricsSnapshot (the copar-serve
-//                                            metrics surface) instead of the
-//                                            report
+//   copar-cli <verb> <file.cop> [options]
 //
-// Global observability flags (any command):
-//   --json               machine-readable report: one JSON document on stdout
-//                        (counters, per-phase milliseconds, memory gauges,
-//                        terminals, violations) for run/explore/analyze/abstract
-//   --trace <out.json>   record a Chrome trace_event timeline of the engine
-//                        phases (one track per worker thread); open in
-//                        chrome://tracing or Perfetto
-//   --progress [secs]    stderr heartbeat every `secs` (default 2) seconds
-//                        with configs/sec and frontier depth
-//   --sample <ms>        background sampler: snapshot the live gauges every
-//                        `ms` milliseconds into the report's "timeline" (and
-//                        counter tracks in the trace)
-//   --metrics-out <f>    after the run, write the metrics snapshot to `f`
-//                        (Prometheus text when `f` ends in .prom, JSON
-//                        otherwise)
+// The verbs, their options and the global observability options are the
+// tables kVerbs and kGlobalOptions below; one parser reads them all and
+// usage() prints them, so `copar-cli` without arguments lists every option.
 //
 // Exit codes: 0 success, 1 error (or error-severity findings from check),
 // 2 usage, 3 truncated exploration, 4 out of memory.
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <new>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/absdom/flat.h"
@@ -100,20 +53,239 @@
 
 namespace {
 
-int usage() {
-  std::cerr << "usage: copar-cli "
-               "<run|explore|analyze|abstract|check|witness|parallelize|graph|disasm|fmt"
-               "|metrics-dump> <file.cop> [options]\n"
-               "global options: --json  --trace <out.json>  --progress [seconds]  "
-               "--sample <ms>  --metrics-out <file>\n"
-               "explore options: --stubborn --coarsen --sleep --max-configs N "
-               "--threads N --exact-keys\n"
-               "analyze options: --engine explore|tmod\n"
-               "check options:   --sarif --disable <c1,c2,...> --no-witness "
-               "--max-configs N --tier auto|static|explore|tmod --pair-budget N  "
-               "(or: check --list-checks)\n"
-               "metrics-dump options: explore options plus --format json|prom|text\n";
-  return 2;
+/// Every option of every verb; a verb's tables name the fields it reads.
+/// A count left at 0 was not given (counts are positive).
+struct Opts {
+  std::string file;
+  // Global observability options.
+  bool json = false;
+  std::string trace_path;
+  double progress_s = 0;  // 0: no heartbeat
+  double sample_ms = 0;   // 0: sampler off
+  std::string metrics_out;
+  // Exploration (explore, graph, metrics-dump).
+  bool stubborn = false;
+  bool coarsen = false;
+  bool sleep = false;
+  bool exact_keys = false;
+  std::uint64_t max_configs = 0;
+  std::uint64_t threads = 0;
+  std::string format = "json";
+  std::string engine = "explore";
+  bool clan = false;
+  // check
+  bool list_checks = false;
+  bool sarif = false;
+  bool no_witness = false;
+  std::string disable;
+  std::string tier = "auto";
+  std::uint64_t pair_budget = 0;
+  // witness, parallelize
+  bool deadlock = false;
+  std::string violation;
+  std::string fault;
+  std::string labels;
+};
+
+enum class Kind : std::uint8_t {
+  Switch,  // no value
+  Count,   // decimal digits only, at least 1 and at most `max`
+  Enum,    // one of the '|'-separated choices in `value`
+  String,  // any non-empty text
+  Number,  // a finite decimal number above 0 and at most `max`
+};
+
+/// One row of an option table.
+struct Option {
+  std::string_view flag;
+  Kind kind;
+  std::variant<bool Opts::*, std::uint64_t Opts::*, double Opts::*, std::string Opts::*> target;
+  std::string_view value;  // the value's name in usage; Enum: the choices
+  std::string_view help;
+  double max = std::numeric_limits<double>::infinity();
+  std::string_view implied = {};  // the value of a bare flag (none: required)
+};
+
+// A Number interval is at most ~317 years, so its nanosecond count fits in
+// 64 bits.
+constexpr Option kGlobalOptions[] = {
+    {"--json", Kind::Switch, &Opts::json, "",
+     "machine-readable report: one JSON document on stdout"},
+    {"--trace", Kind::String, &Opts::trace_path, "<out.json>",
+     "Chrome trace_event timeline of the engine phases"},
+    {"--progress", Kind::Number, &Opts::progress_s, "[secs]",
+     "stderr heartbeat every secs seconds (default 2)", 1e10, "2"},
+    {"--sample", Kind::Number, &Opts::sample_ms, "<ms>",
+     "sample the live gauges every ms milliseconds", 1e13},
+    {"--metrics-out", Kind::String, &Opts::metrics_out, "<file>",
+     "metrics snapshot after the run (*.prom: Prometheus text)"},
+};
+
+constexpr Option kReductionOptions[] = {
+    {"--stubborn", Kind::Switch, &Opts::stubborn, "", "stubborn-set reduction (Algorithm 1)"},
+    {"--coarsen", Kind::Switch, &Opts::coarsen, "", "virtual coarsening (Observation 5)"},
+};
+
+constexpr Option kExploreOptions[] = {
+    {"--sleep", Kind::Switch, &Opts::sleep, "", "sleep sets: prune covered interleavings"},
+    {"--max-configs", Kind::Count, &Opts::max_configs, "N",
+     "configuration budget (exit 3 when hit)"},
+    {"--threads", Kind::Count, &Opts::threads, "N",
+     "worker threads (above 1: the work-stealing engine)", 1024},
+    {"--exact-keys", Kind::Switch, &Opts::exact_keys, "",
+     "full canonical keys; counts fingerprint collisions"},
+};
+
+constexpr Option kMetricsDumpOptions[] = {
+    {"--format", Kind::Enum, &Opts::format, "json|prom|text", "snapshot format (default json)"},
+};
+
+constexpr Option kAnalyzeOptions[] = {
+    {"--engine", Kind::Enum, &Opts::engine, "explore|tmod",
+     "tmod: thread-modular rely/guarantee report, no interleavings"},
+};
+
+constexpr Option kAbstractOptions[] = {
+    {"--clan", Kind::Switch, &Opts::clan, "", "fold configurations by clan instead of tree"},
+};
+
+constexpr Option kCheckOptions[] = {
+    {"--list-checks", Kind::Switch, &Opts::list_checks, "",
+     "print the catalog of check codes (no file needed)"},
+    {"--sarif", Kind::Switch, &Opts::sarif, "", "SARIF 2.1.0 instead of text"},
+    {"--disable", Kind::String, &Opts::disable, "<c1,c2,...>", "turn these check codes off"},
+    {"--no-witness", Kind::Switch, &Opts::no_witness, "",
+     "no directed witness searches for race candidates"},
+    {"--tier", Kind::Enum, &Opts::tier, "auto|static|explore|tmod",
+     "race pipeline (default auto; docs/TIERED_CHECKING.md)"},
+    {"--pair-budget", Kind::Count, &Opts::pair_budget, "N",
+     "budget of each race candidate's witness search"},
+    {"--max-configs", Kind::Count, &Opts::max_configs, "N",
+     "configuration budget of the exploration"},
+};
+
+constexpr Option kWitnessOptions[] = {
+    {"--deadlock", Kind::Switch, &Opts::deadlock, "", "a schedule into a deadlock"},
+    {"--violation", Kind::String, &Opts::violation, "<label>",
+     "a schedule that fails the assert labeled so"},
+    {"--fault", Kind::String, &Opts::fault, "<label>",
+     "a schedule that faults at the statement labeled so"},
+};
+
+constexpr Option kParallelizeOptions[] = {
+    {"--labels", Kind::String, &Opts::labels, "<s1,s2,...>", "the statements to schedule"},
+};
+
+/// A verb: its usage summary, its option tables (the global options apply
+/// too) and the command reading the source text and the parsed options.
+struct Verb {
+  std::string_view name;
+  std::string_view summary;
+  std::vector<std::span<const Option>> tables;
+  int (*run)(const std::string& source, const Opts& o);
+};
+
+/// Prints `error: <subject> <what>` and returns false.
+bool fail(std::string_view subject, std::string_view what) {
+  std::cerr << "error: " << subject << ' ' << what << '\n';
+  return false;
+}
+
+/// Stores `value` (nullopt: the flag came bare) into the row's target.
+bool set_option(const Option& opt, std::optional<std::string_view> value, Opts& o) {
+  if (opt.kind == Kind::Switch) {
+    if (value) return fail(opt.flag, "takes no value");
+    o.*std::get<bool Opts::*>(opt.target) = true;
+    return true;
+  }
+  if (!value && !opt.implied.empty()) value = opt.implied;
+  if (!value || value->empty()) return fail(opt.flag, "requires a value " + std::string(opt.value));
+  const std::string_view v = *value;
+  const char* const last = v.data() + v.size();
+  switch (opt.kind) {
+    case Kind::Count: {
+      // A sign, an overflow or trailing bytes are rejected instead of
+      // wrapping into an effectively unbounded budget.
+      std::uint64_t n = 0;
+      const auto [end, ec] = std::from_chars(v.data(), last, n);
+      if (ec != std::errc() || end != last || n == 0 || static_cast<double>(n) > opt.max) break;
+      o.*std::get<std::uint64_t Opts::*>(opt.target) = n;
+      return true;
+    }
+    case Kind::Number: {
+      double x = 0;
+      const auto [end, ec] = std::from_chars(v.data(), last, x);
+      if (ec != std::errc() || end != last || !(x > 0 && x <= opt.max)) break;
+      o.*std::get<double Opts::*>(opt.target) = x;
+      return true;
+    }
+    case Kind::Enum: {
+      std::stringstream choices{std::string(opt.value)};
+      for (std::string c; std::getline(choices, c, '|');) {
+        if (c != v) continue;
+        o.*std::get<std::string Opts::*>(opt.target) = c;
+        return true;
+      }
+      break;
+    }
+    default:
+      o.*std::get<std::string Opts::*>(opt.target) = v;
+      return true;
+  }
+  std::ostringstream what;
+  what << "expects ";
+  if (opt.kind == Kind::Enum) {
+    what << opt.value;
+  } else {
+    what << (opt.kind == Kind::Count ? "a positive integer" : "a positive number");
+    if (opt.max < std::numeric_limits<double>::infinity()) what << " of at most " << opt.max;
+  }
+  what << ", got '" << v << "'";
+  return fail(opt.flag, what.str());
+}
+
+/// Reads `args` against the verb's tables and the global one into `o`: the
+/// one argument that is not an option is the file. `--flag value` and
+/// `--flag=value` read alike, and a value that starts with `--` counts as
+/// missing. False (after naming the fault) on an unknown flag, a stray
+/// argument, or a missing or malformed value.
+bool parse_args(const Verb& verb, const std::vector<std::string>& args, Opts& o) {
+  std::vector<std::span<const Option>> tables = verb.tables;
+  tables.emplace_back(kGlobalOptions);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string_view a = args[i];
+    if (!a.starts_with("--")) {
+      if (!o.file.empty()) return fail("unexpected argument", "'" + std::string(a) + "'");
+      o.file = a;
+      continue;
+    }
+    const std::size_t eq = a.find('=');
+    const std::string_view flag = a.substr(0, eq);
+    const Option* opt = nullptr;
+    for (const auto table : tables) {
+      const auto it = std::ranges::find(table, flag, &Option::flag);
+      if (it != table.end()) opt = &*it;
+    }
+    if (opt == nullptr) return fail("unknown option", "'" + std::string(flag) + "'");
+    std::optional<std::string_view> value;
+    if (eq != std::string_view::npos) {
+      value = a.substr(eq + 1);
+    } else if (opt->kind != Kind::Switch && i + 1 < args.size() &&
+               !args[i + 1].starts_with("--")) {
+      value = args[++i];
+    }
+    if (!set_option(*opt, value, o)) return false;
+  }
+  return true;
+}
+
+void print_options(std::span<const Option> table) {
+  for (const Option& opt : table) {
+    std::string head = "  " + std::string(opt.flag);
+    if (!opt.value.empty()) head += " " + std::string(opt.value);
+    head.resize(std::max<std::size_t>(head.size() + 2, 34), ' ');
+    std::cerr << head << opt.help << '\n';
+  }
 }
 
 std::string slurp(const std::string& path) {
@@ -124,137 +296,11 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-bool has_flag(const std::vector<std::string>& args, std::string_view flag) {
-  for (const std::string& a : args) {
-    if (a == flag) return true;
-  }
-  return false;
-}
-
-std::string flag_value(const std::vector<std::string>& args, std::string_view flag) {
-  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] == flag) return args[i + 1];
-  }
-  return {};
-}
-
-/// Parses a count option: decimal digits only (no sign, no blanks, no
-/// trailing bytes), at least 1 and at most `max`. A negative or overflowing
-/// budget is rejected instead of wrapping into an effectively unbounded one.
-std::optional<std::uint64_t> parse_count(std::string_view v,
-                                         std::uint64_t max = UINT64_MAX) {
-  std::uint64_t n = 0;
-  const char* last = v.data() + v.size();
-  const auto [end, ec] = std::from_chars(v.data(), last, n);
-  if (ec != std::errc() || end != last || n == 0 || n > max) return std::nullopt;
-  return n;
-}
-
-/// The value of `flag` in either the `--flag=value` or the `--flag value`
-/// form; empty when the flag is absent or has no value.
-std::string flag_eq_or_space(const std::vector<std::string>& args, std::string_view flag) {
-  const std::string prefix = std::string(flag) + "=";
-  for (const std::string& a : args) {
-    if (a.size() > prefix.size() && a.compare(0, prefix.size(), prefix) == 0) {
-      return a.substr(prefix.size());
-    }
-  }
-  return flag_value(args, flag);
-}
-
-/// True when `flag` appears bare: `--flag` (its value may follow) or an
-/// empty `--flag=`.
-bool flag_given(const std::vector<std::string>& args, std::string_view flag) {
-  return has_flag(args, flag) || has_flag(args, std::string(flag) + "=");
-}
-
-/// Parses an optional count flag (either form) into `*out`. Prints the
-/// error and returns false when the flag is given without a valid count
-/// (see parse_count); leaves `*out` alone when the flag is absent.
-bool parse_count_flag(const std::vector<std::string>& args, std::string_view flag,
-                      std::uint64_t* out, std::uint64_t max = UINT64_MAX) {
-  const std::string v = flag_eq_or_space(args, flag);
-  if (v.empty()) {
-    if (flag_given(args, flag)) {
-      std::cerr << "error: " << flag << " requires a value\n";
-      return false;
-    }
-    return true;
-  }
-  const auto n = parse_count(v, max);
-  if (!n) {
-    std::cerr << "error: " << flag << " expects a positive integer, got '" << v << "'\n";
-    return false;
-  }
-  *out = *n;
-  return true;
-}
-
-/// Observability switches, stripped from the arg list before command
-/// dispatch so every command accepts them uniformly.
-struct GlobalOpts {
-  bool json = false;
-  std::string trace_path;
-  bool progress = false;
-  double progress_interval_s = 2.0;
-  double sample_ms = 0;  // 0: sampler off
-  std::string metrics_out;
-  bool missing_trace_path = false;  // `--trace` without a path
-  bool bad_sample = false;          // `--sample` without a positive number
-  bool missing_metrics_out = false;
-};
-
-/// A positive decimal number filling all of `v`; 0 otherwise.
-double positive_number(const std::string& v) {
-  char* end = nullptr;
-  const double x = std::strtod(v.c_str(), &end);
-  return !v.empty() && end != nullptr && *end == '\0' && x > 0 ? x : 0;
-}
-
-GlobalOpts extract_global_opts(std::vector<std::string>& args) {
-  GlobalOpts g;
-  // The value flags read either form, `--flag=value` or `--flag value`.
-  g.trace_path = flag_eq_or_space(args, "--trace");
-  g.missing_trace_path = g.trace_path.empty() && flag_given(args, "--trace");
-  g.metrics_out = flag_eq_or_space(args, "--metrics-out");
-  g.missing_metrics_out = g.metrics_out.empty() && flag_given(args, "--metrics-out");
-  const std::string sample = flag_eq_or_space(args, "--sample");
-  if (!sample.empty() || flag_given(args, "--sample")) {
-    g.sample_ms = positive_number(sample);
-    g.bad_sample = g.sample_ms == 0;
-  }
-  std::vector<std::string> rest;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--json") {
-      g.json = true;
-    } else if (a == "--trace" || a == "--metrics-out" || a == "--sample") {
-      ++i;  // its value, read above (a missing or bad one exits 2)
-    } else if (a.starts_with("--trace=") || a.starts_with("--metrics-out=") ||
-               a.starts_with("--sample=")) {
-      // read above
-    } else if (a == "--progress") {
-      g.progress = true;
-      // Optional numeric interval right after the flag.
-      if (i + 1 < args.size()) {
-        if (const double v = positive_number(args[i + 1]); v > 0) {
-          g.progress_interval_s = v;
-          ++i;
-        }
-      }
-    } else {
-      rest.push_back(a);
-    }
-  }
-  args = std::move(rest);
-  return g;
-}
-
-void apply_global_opts(const GlobalOpts& g) {
+void apply_global_opts(const Opts& g) {
   auto& tel = copar::telemetry::Telemetry::global();
   if (g.json || !g.trace_path.empty() || !g.metrics_out.empty()) tel.enable_metrics();
   if (!g.trace_path.empty()) tel.enable_trace();
-  if (g.progress) tel.enable_progress(g.progress_interval_s);
+  if (g.progress_s > 0) tel.enable_progress(g.progress_s);
   if (g.sample_ms > 0) tel.start_sampler(g.sample_ms);
 }
 
@@ -262,7 +308,7 @@ void apply_global_opts(const GlobalOpts& g) {
 /// trace flushes see the completed timeline. Safe to call repeatedly.
 void finish_sampling() { copar::telemetry::Telemetry::global().stop_sampler(); }
 
-int cmd_run(const copar::CompiledProgram& p, const std::string& path, const GlobalOpts& g) {
+int cmd_run(const copar::CompiledProgram& p, const Opts& g) {
   using namespace copar;
   const explore::ExploreOptions opts;
   const auto r = explore::explore(*p.lowered, opts);
@@ -270,7 +316,7 @@ int cmd_run(const copar::CompiledProgram& p, const std::string& path, const Glob
   const int rc = r.deadlock_found || !r.violations.empty() || !r.faults.empty() ? 1 : 0;
   if (g.json) {
     support::JsonWriter w(std::cout);
-    explore::write_json_report(w, "run", path, r, opts, p.lowered.get());
+    explore::write_json_report(w, "run", g.file, r, opts, p.lowered.get());
     std::cout << '\n';
     return rc;
   }
@@ -306,44 +352,40 @@ int cmd_run(const copar::CompiledProgram& p, const std::string& path, const Glob
   return rc;
 }
 
-/// Parses the shared exploration option set (`explore` and `metrics-dump`
-/// accept the same flags). Returns 0 on success, the exit code otherwise.
-int parse_explore_opts(const std::vector<std::string>& args,
-                       copar::explore::ExploreOptions& opts) {
-  using namespace copar;
-  if (has_flag(args, "--stubborn")) opts.reduction = explore::Reduction::Stubborn;
-  if (has_flag(args, "--coarsen")) opts.coarsen = true;
-  if (has_flag(args, "--sleep")) opts.sleep_sets = true;
-  if (has_flag(args, "--exact-keys")) opts.exact_keys = true;
-  std::uint64_t max_configs = opts.max_configs;
-  if (!parse_count_flag(args, "--max-configs", &max_configs)) return 2;
-  opts.max_configs = max_configs;
-  std::uint64_t threads = opts.threads;
-  if (!parse_count_flag(args, "--threads", &threads, 1024)) return 2;
-  opts.threads = static_cast<unsigned>(threads);
-  if (const auto d = explore::parallel_unsupported(opts)) {
-    std::cerr << "error (" << d->code << "): " << d->message << '\n';
-    return 2;
-  }
-  return 0;
-}
-
-int cmd_explore(const copar::CompiledProgram& p, const std::string& path,
-                const std::vector<std::string>& args, const GlobalOpts& g) {
+/// The exploration options `o` selects (`explore` and `metrics-dump` read
+/// the same ones); nullopt, after naming the clash, when the parallel
+/// engine cannot honour them.
+std::optional<copar::explore::ExploreOptions> explore_options(const Opts& o) {
   using namespace copar;
   explore::ExploreOptions opts;
-  if (const int rc = parse_explore_opts(args, opts); rc != 0) return rc;
-  const auto r = explore::explore(*p.lowered, opts);
+  if (o.stubborn) opts.reduction = explore::Reduction::Stubborn;
+  opts.coarsen = o.coarsen;
+  opts.sleep_sets = o.sleep;
+  opts.exact_keys = o.exact_keys;
+  if (o.max_configs != 0) opts.max_configs = o.max_configs;
+  if (o.threads != 0) opts.threads = static_cast<unsigned>(o.threads);
+  if (const auto d = explore::parallel_unsupported(opts)) {
+    std::cerr << "error (" << d->code << "): " << d->message << '\n';
+    return std::nullopt;
+  }
+  return opts;
+}
+
+int cmd_explore(const copar::CompiledProgram& p, const Opts& g) {
+  using namespace copar;
+  const auto opts = explore_options(g);
+  if (!opts) return 2;
+  const auto r = explore::explore(*p.lowered, *opts);
   finish_sampling();
   if (g.json) {
     support::JsonWriter w(std::cout);
-    explore::write_json_report(w, "explore", path, r, opts);
+    explore::write_json_report(w, "explore", g.file, r, *opts);
     std::cout << '\n';
   } else {
     std::cout << r.stats.to_string();
   }
   if (r.truncated) {
-    std::cerr << "error: exploration truncated at " << opts.max_configs
+    std::cerr << "error: exploration truncated at " << opts->max_configs
               << " configurations (counters are lower bounds; raise --max-configs)\n";
     return 3;
   }
@@ -355,8 +397,7 @@ int cmd_explore(const copar::CompiledProgram& p, const std::string& path,
 /// terminates on any program, including ones the explorers can only
 /// truncate, and its report is a sound over-approximation of every
 /// interleaving.
-int cmd_analyze_tmod(const copar::CompiledProgram& p, const std::string& path,
-                     const GlobalOpts& g) {
+int cmd_analyze_tmod(const copar::CompiledProgram& p, const Opts& g) {
   using namespace copar;
   const sem::LoweredProgram& prog = *p.lowered;
 
@@ -378,23 +419,10 @@ int cmd_analyze_tmod(const copar::CompiledProgram& p, const std::string& path,
     w.key("engine");
     w.value("tmod");
     w.key("file");
-    w.value(path);
-    w.key("counters");
-    w.begin_object();
-    for (const auto& [name, value] : r.stats.all()) {
-      w.key(name);
-      w.value(value);
-    }
-    w.end_object();
-    w.key("phases_ms");
-    telemetry::write_phases_ms(w);
-    w.key("phase_counts");
-    telemetry::write_phase_counts(w);
-    w.key("memory");
-    w.begin_object();
-    w.key("peak_rss_bytes");
-    w.value(telemetry::peak_rss_bytes());
-    w.end_object();
+    w.value(g.file);
+    telemetry::write_stat_map(w, "counters", {&r.stats.all()});
+    telemetry::write_phases(w);
+    telemetry::write_memory(w);
     w.key("result");
     w.begin_object();
     w.key("threads");
@@ -477,19 +505,9 @@ int cmd_analyze_tmod(const copar::CompiledProgram& p, const std::string& path,
   return 0;
 }
 
-int cmd_analyze(const copar::CompiledProgram& p, const std::string& path,
-                const std::vector<std::string>& args, const GlobalOpts& g) {
+int cmd_analyze(const copar::CompiledProgram& p, const Opts& g) {
   using namespace copar;
-  const std::string engine_name = flag_eq_or_space(args, "--engine");
-  if (engine_name.empty() && flag_given(args, "--engine")) {
-    std::cerr << "error: --engine requires a value (explore|tmod)\n";
-    return 2;
-  }
-  if (engine_name == "tmod") return cmd_analyze_tmod(p, path, g);
-  if (!engine_name.empty() && engine_name != "explore") {
-    std::cerr << "error: --engine expects explore or tmod, got '" << engine_name << "'\n";
-    return 2;
-  }
+  if (g.engine == "tmod") return cmd_analyze_tmod(p, g);
   explore::ExploreOptions opts;
   opts.record_pairs = true;
   opts.record_accesses = true;
@@ -516,34 +534,11 @@ int cmd_analyze(const copar::CompiledProgram& p, const std::string& path,
     w.key("command");
     w.value("analyze");
     w.key("file");
-    w.value(path);
-    w.key("counters");
-    w.begin_object();
-    for (const auto& [name, value] : concrete.stats.all()) {
-      w.key(name);
-      w.value(value);
-    }
-    for (const auto& [name, value] : abs.stats.all()) {
-      w.key(name);
-      w.value(value);
-    }
-    w.end_object();
-    w.key("gauges");
-    w.begin_object();
-    for (const auto& [name, value] : concrete.stats.gauges()) {
-      w.key(name);
-      w.value(value);
-    }
-    w.end_object();
-    w.key("phases_ms");
-    telemetry::write_phases_ms(w);
-    w.key("phase_counts");
-    telemetry::write_phase_counts(w);
-    w.key("memory");
-    w.begin_object();
-    w.key("peak_rss_bytes");
-    w.value(telemetry::peak_rss_bytes());
-    w.end_object();
+    w.value(g.file);
+    telemetry::write_stat_map(w, "counters", {&concrete.stats.all(), &abs.stats.all()});
+    telemetry::write_stat_map(w, "gauges", {&concrete.stats.gauges()});
+    telemetry::write_phases(w);
+    telemetry::write_memory(w);
     w.key("analyses");
     w.begin_object();
     w.key("mhp_pairs");
@@ -594,11 +589,10 @@ int cmd_analyze(const copar::CompiledProgram& p, const std::string& path,
   return 0;
 }
 
-int cmd_abstract(const copar::CompiledProgram& p, const std::string& path,
-                 const std::vector<std::string>& args, const GlobalOpts& g) {
+int cmd_abstract(const copar::CompiledProgram& p, const Opts& g) {
   using namespace copar;
   absem::AbsOptions opts;
-  if (has_flag(args, "--clan")) opts.folding = absem::Folding::Clan;
+  if (g.clan) opts.folding = absem::Folding::Clan;
   absem::AbsExplorer<absdom::FlatInt> engine(*p.lowered, opts);
   const auto r = engine.run();
   finish_sampling();
@@ -610,7 +604,7 @@ int cmd_abstract(const copar::CompiledProgram& p, const std::string& path,
     w.key("command");
     w.value("abstract");
     w.key("file");
-    w.value(path);
+    w.value(g.file);
     w.key("options");
     w.begin_object();
     w.key("folding");
@@ -618,29 +612,10 @@ int cmd_abstract(const copar::CompiledProgram& p, const std::string& path,
     w.key("max_states");
     w.value(opts.max_states);
     w.end_object();
-    w.key("counters");
-    w.begin_object();
-    for (const auto& [name, value] : r.stats.all()) {
-      w.key(name);
-      w.value(value);
-    }
-    w.end_object();
-    w.key("gauges");
-    w.begin_object();
-    for (const auto& [name, value] : r.stats.gauges()) {
-      w.key(name);
-      w.value(value);
-    }
-    w.end_object();
-    w.key("phases_ms");
-    telemetry::write_phases_ms(w);
-    w.key("phase_counts");
-    telemetry::write_phase_counts(w);
-    w.key("memory");
-    w.begin_object();
-    w.key("peak_rss_bytes");
-    w.value(telemetry::peak_rss_bytes());
-    w.end_object();
+    telemetry::write_stat_map(w, "counters", {&r.stats.all()});
+    telemetry::write_stat_map(w, "gauges", {&r.stats.gauges()});
+    telemetry::write_phases(w);
+    telemetry::write_memory(w);
     w.key("result");
     w.begin_object();
     w.key("abs_states");
@@ -681,47 +656,28 @@ int cmd_list_checks() {
 /// battery (src/check) and renders findings as human text, JSON, or SARIF.
 /// Unlike the other commands it owns its front end, so syntax errors become
 /// ordinary findings instead of a bare exception message.
-int cmd_check(const std::string& path, const std::string& source,
-              const std::vector<std::string>& args, const GlobalOpts& g) {
+int cmd_check(const std::string& source, const Opts& g) {
   using namespace copar;
-  const bool sarif = has_flag(args, "--sarif");
+  const std::string& path = g.file;
   check::CheckOptions copts;
-  if (has_flag(args, "--no-witness")) copts.witnesses = false;
-  if (!parse_count_flag(args, "--max-configs", &copts.max_configs)) return 2;
-  if (!parse_count_flag(args, "--pair-budget", &copts.pair_budget)) return 2;
-  if (const std::string v = flag_eq_or_space(args, "--tier"); v.empty()) {
-    if (flag_given(args, "--tier")) {
-      std::cerr << "error: --tier requires a value (auto|static|explore|tmod)\n";
-      return 2;
-    }
-  } else {
-    if (v == "auto") {
-      copts.tier = check::Tier::Auto;
-    } else if (v == "static") {
-      copts.tier = check::Tier::Static;
-    } else if (v == "explore") {
-      copts.tier = check::Tier::Explore;
-    } else if (v == "tmod") {
-      copts.tier = check::Tier::Tmod;
-    } else {
-      std::cerr << "error: --tier expects auto|static|explore|tmod, got '" << v << "'\n";
-      return 2;
-    }
+  if (g.no_witness) copts.witnesses = false;
+  if (g.max_configs != 0) copts.max_configs = g.max_configs;
+  if (g.pair_budget != 0) copts.pair_budget = g.pair_budget;
+  for (const check::Tier t :
+       {check::Tier::Auto, check::Tier::Static, check::Tier::Explore, check::Tier::Tmod}) {
+    if (check::tier_name(t) == g.tier) copts.tier = t;
   }
 
   DiagnosticEngine engine;
-  if (const std::string csv = flag_value(args, "--disable"); !csv.empty()) {
-    std::stringstream ss(csv);
-    std::string code;
-    while (std::getline(ss, code, ',')) {
-      if (code.empty()) continue;
-      if (check::find_rule(code) == nullptr) {
-        std::cerr << "error: unknown check code '" << code
-                  << "' (see copar-cli check --list-checks)\n";
-        return 2;
-      }
-      engine.disable_code(code);
+  std::stringstream ss(g.disable);
+  for (std::string code; std::getline(ss, code, ',');) {
+    if (code.empty()) continue;
+    if (check::find_rule(code) == nullptr) {
+      std::cerr << "error: unknown check code '" << code
+                << "' (see copar-cli check --list-checks)\n";
+      return 2;
     }
+    engine.disable_code(code);
   }
   engine.load_suppressions(source);
 
@@ -739,7 +695,7 @@ int cmd_check(const std::string& path, const std::string& source,
   }
   engine.sort_by_location();
 
-  if (sarif) {
+  if (g.sarif) {
     engine.render_sarif(std::cout, path, check::catalog());
   } else if (g.json) {
     const bool checked = !front.has_errors();
@@ -829,22 +785,16 @@ int cmd_check(const std::string& path, const std::string& source,
   return engine.has_errors() ? 1 : 0;
 }
 
-int cmd_witness(const copar::CompiledProgram& p, const std::vector<std::string>& args) {
+int cmd_witness(const copar::CompiledProgram& p, const Opts& g) {
   using namespace copar;
   explore::WitnessQuery q;
-  if (has_flag(args, "--deadlock")) q.want_deadlock = true;
-  for (const auto& [flag, want] : {std::pair{"--violation", &q.want_violation},
-                                   std::pair{"--fault", &q.want_fault}}) {
-    if (!has_flag(args, flag)) continue;
-    // A missing label must not widen the query to "any terminal".
-    const std::string label = flag_value(args, flag);
-    if (label.empty() || label.starts_with("--")) {
-      std::cerr << "error: " << flag << " expects a statement label\n";
-      return 2;
-    }
-    const auto id = analysis::labeled_stmt(*p.lowered, label);
+  q.want_deadlock = g.deadlock;
+  for (const auto& [label, want] : {std::pair{&g.violation, &q.want_violation},
+                                    std::pair{&g.fault, &q.want_fault}}) {
+    if (label->empty()) continue;
+    const auto id = analysis::labeled_stmt(*p.lowered, *label);
     if (!id.has_value()) {
-      std::cerr << "no statement labeled '" << label << "'\n";
+      std::cerr << "no statement labeled '" << *label << "'\n";
       return 2;
     }
     *want = *id;
@@ -858,30 +808,28 @@ int cmd_witness(const copar::CompiledProgram& p, const std::vector<std::string>&
   return 0;
 }
 
-int cmd_graph(const copar::CompiledProgram& p, const std::vector<std::string>& args) {
+int cmd_graph(const copar::CompiledProgram& p, const Opts& g) {
   using namespace copar;
   explore::ExploreOptions opts;
   opts.record_graph = true;
-  if (has_flag(args, "--stubborn")) opts.reduction = explore::Reduction::Stubborn;
-  if (has_flag(args, "--coarsen")) opts.coarsen = true;
+  if (g.stubborn) opts.reduction = explore::Reduction::Stubborn;
+  opts.coarsen = g.coarsen;
   const auto r = explore::explore(*p.lowered, opts);
   std::cout << to_dot(r.graph, *p.lowered);
   return 0;
 }
 
 int cmd_parallelize(const copar::CompiledProgram& p, const std::string& source,
-                    const std::vector<std::string>& args) {
+                    const Opts& g) {
   using namespace copar;
-  const std::string labels_csv = flag_value(args, "--labels");
-  if (labels_csv.empty()) {
+  std::vector<std::string> labels;
+  std::stringstream ss(g.labels);
+  for (std::string item; std::getline(ss, item, ',');) {
+    if (!item.empty()) labels.push_back(item);
+  }
+  if (labels.empty()) {
     std::cerr << "parallelize requires --labels s1,s2,...\n";
     return 2;
-  }
-  std::vector<std::string> labels;
-  std::stringstream ss(labels_csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) labels.push_back(item);
   }
   absem::AbsExplorer<absdom::FlatInt> engine(*p.lowered, {});
   const auto abs = engine.run();
@@ -903,29 +851,17 @@ int cmd_parallelize(const copar::CompiledProgram& p, const std::string& source,
 /// `copar-cli metrics-dump` — run an exploration and print the metrics
 /// export surface (the same snapshot copar-serve will serve over HTTP)
 /// instead of the exploration report.
-int cmd_metrics_dump(const copar::CompiledProgram& p, const std::vector<std::string>& args) {
+int cmd_metrics_dump(const copar::CompiledProgram& p, const Opts& g) {
   using namespace copar;
-  explore::ExploreOptions opts;
-  if (const int rc = parse_explore_opts(args, opts); rc != 0) return rc;
-  std::string format = flag_eq_or_space(args, "--format");
-  if (format.empty()) {
-    if (flag_given(args, "--format")) {
-      std::cerr << "error: --format requires a value (json|prom|text)\n";
-      return 2;
-    }
-    format = "json";
-  }
-  if (format != "json" && format != "prom" && format != "text") {
-    std::cerr << "error: --format expects json, prom, or text, got '" << format << "'\n";
-    return 2;
-  }
+  const auto opts = explore_options(g);
+  if (!opts) return 2;
   telemetry::Telemetry::global().enable_metrics();
-  (void)explore::explore(*p.lowered, opts);
+  (void)explore::explore(*p.lowered, *opts);
   finish_sampling();
   const auto snap = telemetry::MetricsSnapshot::capture();
-  if (format == "prom") {
+  if (g.format == "prom") {
     snap.write_prometheus(std::cout);
-  } else if (format == "text") {
+  } else if (g.format == "text") {
     snap.write_text(std::cout);
   } else {
     snap.write_json(std::cout);
@@ -933,9 +869,62 @@ int cmd_metrics_dump(const copar::CompiledProgram& p, const std::vector<std::str
   return 0;
 }
 
+/// Compiles the source, then runs `cmd` on the program.
+template <auto cmd>
+int compiled(const std::string& source, const Opts& o) {
+  return cmd(*copar::compile(source), o);
+}
+
+const Verb kVerbs[] = {
+    {"run", "run all interleavings, print outcomes", {}, compiled<cmd_run>},
+    {"explore", "state-space statistics; exit 3 when the exploration was truncated",
+     {kReductionOptions, kExploreOptions}, compiled<cmd_explore>},
+    {"analyze", "§5 analyses and §7 applications report", {kAnalyzeOptions},
+     compiled<cmd_analyze>},
+    {"abstract", "abstract exploration summary", {kAbstractOptions}, compiled<cmd_abstract>},
+    {"check", "static diagnostics (races, faults, uninitialized reads, dead code...)",
+     {kCheckOptions}, cmd_check},
+    {"witness", "print a schedule exhibiting the fact", {kWitnessOptions},
+     compiled<cmd_witness>},
+    {"parallelize", "schedule the labeled statements into parallel chains and verify",
+     {kParallelizeOptions},
+     [](const std::string& source, const Opts& o) {
+       return cmd_parallelize(*copar::compile(source), source, o);
+     }},
+    {"graph", "Graphviz dot of the configuration graph", {kReductionOptions},
+     compiled<cmd_graph>},
+    {"disasm", "lowered atomic-action code", {},
+     [](const std::string& source, const Opts&) {
+       std::cout << copar::compile(source)->lowered->disassemble();
+       return 0;
+     }},
+    {"fmt", "pretty-print the parsed program", {},
+     [](const std::string& source, const Opts&) {
+       std::cout << copar::lang::print(*copar::lang::parse_program(source));
+       return 0;
+     }},
+    {"metrics-dump", "run an exploration, print the metrics snapshot instead of the report",
+     {kReductionOptions, kExploreOptions, kMetricsDumpOptions}, compiled<cmd_metrics_dump>},
+};
+
+/// Prints the usage of `only` (null: of every verb) from the option tables
+/// and returns the usage exit code.
+int usage(const Verb* only) {
+  std::cerr << "usage: copar-cli " << (only != nullptr ? only->name : "<verb>")
+            << " <file.cop> [options]\n";
+  for (const Verb& v : kVerbs) {
+    if (only != nullptr && &v != only) continue;
+    std::cerr << v.name << ": " << v.summary << '\n';
+    for (const auto table : v.tables) print_options(table);
+  }
+  std::cerr << "global options:\n";
+  print_options(kGlobalOptions);
+  return 2;
+}
+
 /// Flushes the trace file and the metrics snapshot (if requested)
 /// regardless of the exit path.
-int finish(const GlobalOpts& g, int rc) {
+int finish(const Opts& g, int rc) {
   finish_sampling();
   if (!g.metrics_out.empty()) {
     std::ofstream out(g.metrics_out);
@@ -946,8 +935,7 @@ int finish(const GlobalOpts& g, int rc) {
     const auto snap = copar::telemetry::MetricsSnapshot::capture();
     // Prometheus exposition when the target looks like a scrape file,
     // schema-pinned JSON otherwise.
-    if (g.metrics_out.size() >= 5 &&
-        g.metrics_out.compare(g.metrics_out.size() - 5, 5, ".prom") == 0) {
+    if (g.metrics_out.ends_with(".prom")) {
       snap.write_prometheus(out);
     } else {
       snap.write_json(out);
@@ -968,69 +956,28 @@ int finish(const GlobalOpts& g, int rc) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const std::string cmd = argv[1];
-  const std::string path = argv[2];
-  std::vector<std::string> args(argv + 3, argv + argc);
-  const GlobalOpts global = extract_global_opts(args);
-  if (global.missing_trace_path) {
-    std::cerr << "error: --trace expects an output path\n";
-    return 2;
+  const std::string_view name = argc > 1 ? argv[1] : "";
+  const auto verb = std::ranges::find(kVerbs, name, &Verb::name);
+  if (verb == std::end(kVerbs)) return usage(nullptr);
+  Opts o;
+  if (!parse_args(*verb, std::vector<std::string>(argv + 2, argv + argc), o)) {
+    return usage(&*verb);
   }
-  if (global.bad_sample) {
-    std::cerr << "error: --sample expects a positive interval in milliseconds\n";
-    return 2;
+  if (o.list_checks) return cmd_list_checks();
+  if (o.file.empty()) {
+    std::cerr << "error: no <file.cop> given\n";
+    return usage(&*verb);
   }
-  if (global.missing_metrics_out) {
-    std::cerr << "error: --metrics-out expects an output path\n";
-    return 2;
-  }
-  apply_global_opts(global);
-
-  if (cmd == "check" && path == "--list-checks") return cmd_list_checks();
-
+  apply_global_opts(o);
   try {
-    const std::string source = slurp(path);
-    if (cmd == "check") {
-      return finish(global, cmd_check(path, source, args, global));
-    }
-    if (cmd == "fmt") {
-      auto module = copar::lang::parse_program(source);
-      std::cout << copar::lang::print(*module);
-      return finish(global, 0);
-    }
-    auto program = copar::compile(source);
-    int rc;
-    if (cmd == "run") {
-      rc = cmd_run(*program, path, global);
-    } else if (cmd == "explore") {
-      rc = cmd_explore(*program, path, args, global);
-    } else if (cmd == "analyze") {
-      rc = cmd_analyze(*program, path, args, global);
-    } else if (cmd == "abstract") {
-      rc = cmd_abstract(*program, path, args, global);
-    } else if (cmd == "witness") {
-      rc = cmd_witness(*program, args);
-    } else if (cmd == "parallelize") {
-      rc = cmd_parallelize(*program, source, args);
-    } else if (cmd == "graph") {
-      rc = cmd_graph(*program, args);
-    } else if (cmd == "metrics-dump") {
-      rc = cmd_metrics_dump(*program, args);
-    } else if (cmd == "disasm") {
-      std::cout << program->lowered->disassemble();
-      rc = 0;
-    } else {
-      return usage();
-    }
-    return finish(global, rc);
+    return finish(o, verb->run(slurp(o.file), o));
   } catch (const copar::Error& e) {
     std::cerr << "error: " << e.what() << '\n';
-    return finish(global, 1);
+    return finish(o, 1);
   } catch (const std::bad_alloc&) {
     // A program can ask for more memory than the host has (alloc of
     // billions of cells); end with a coded exit instead of an abort.
     std::cerr << "error: out of memory\n";
-    return finish(global, 4);
+    return finish(o, 4);
   }
 }
