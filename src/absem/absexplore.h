@@ -143,6 +143,11 @@ struct AbsOptions {
   /// the last k call sites apart (more states, more precise returns).
   std::size_t call_string_k = 0;
   std::uint64_t max_states = 200000;
+  /// Collect the folding-level facts: MHP pairs, per-point stores, access
+  /// sets and call/fork edges. Off, those AbsResult members stay empty and
+  /// each evaluation records only the may-facts, site sizes and reached
+  /// statements (all that `check` reads).
+  bool folding_facts = true;
 };
 
 template <NumDomain N>

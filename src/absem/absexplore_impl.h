@@ -145,7 +145,7 @@ AbsResult<N> AbsExplorer<N>::run() {
   ev_.move_facts_into(result_);
   result_.num_states = states_.size();
   result_.stats.set("abs_states", states_.size());
-  result_.stats.set("abs_mhp_pairs", result_.mhp.size());
+  if (opts_.folding_facts) result_.stats.set("abs_mhp_pairs", result_.mhp.size());
   if (evaluations != 0) result_.stats.add("abs_state_evaluations", evaluations);
   if (requeues != 0) result_.stats.add("abs_global_requeues", requeues);
   if (tel.metrics_enabled()) {
@@ -175,15 +175,17 @@ void AbsExplorer<N>::transfer(const AbsControl& ctrl, const support::CowBox<Stor
   // Record folding-level facts of this abstract configuration. Reached
   // statements and MHP pairs depend on the control alone: record them at
   // the state's first evaluation only.
+  const bool facts = opts_.folding_facts;
   for (std::size_t i = 0; i < ctrl.size(); ++i) {
     const AbsPoint& p = ctrl[i];
-    (void)absdom::join_into(result_.point_stores[{p.proc, p.pc}], store);
+    if (facts) (void)absdom::join_into(result_.point_stores[{p.proc, p.pc}], store);
     if (!first) continue;
 
     const sem::Instr& instr = prog_.proc(p.proc).code[p.pc];
     const std::uint32_t stmt = instr.stmt != nullptr ? instr.stmt->id() : sem::kNoStmt;
     if (stmt != sem::kNoStmt) {
       result_.reached_stmts.insert(stmt);
+      if (!facts) continue;
       if (p.omega) result_.mhp.insert({stmt, stmt});
       for (std::size_t j = i + 1; j < ctrl.size(); ++j) {
         const sem::Instr& other = prog_.proc(ctrl[j].proc).code[ctrl[j].pc];
@@ -272,8 +274,10 @@ void AbsExplorer<N>::transfer_point(const AbsControl& ctrl, const support::CowBo
         const sem::Proc& target = prog_.proc(f);
         if (target.fun == nullptr) continue;  // thread procs are not callable
         if (target.fun->params().size() != args.size()) continue;  // faults concretely
-        result_.call_edges[point.proc].insert(f);
-        if (instr.stmt != nullptr) result_.stmt_callees[instr.stmt->id()].insert(f);
+        if (opts_.folding_facts) {
+          result_.call_edges[point.proc].insert(f);
+          if (instr.stmt != nullptr) result_.stmt_callees[instr.stmt->id()].insert(f);
+        }
         if (conts_[f]
                 .insert(Continuation{point.proc, ev_.settle_pc(point.proc, point.pc + 1),
                                      point.path, point.cstring, callee_ctx, dst})
@@ -350,7 +354,7 @@ void AbsExplorer<N>::transfer_point(const AbsControl& ctrl, const support::CowBo
           // this depth become over-approximate (see Join below).
         }
         news.push_back(std::move(child));
-        result_.fork_edges[point.proc].insert(instr.forks[b]);
+        if (opts_.folding_facts) result_.fork_edges[point.proc].insert(instr.forks[b]);
       }
       emit_same(news);
       break;
@@ -363,7 +367,7 @@ void AbsExplorer<N>::transfer_point(const AbsControl& ctrl, const support::CowBo
       const Value lo = ev_.eval(store, point.proc, *instr.rhs);
       const Value hi = ev_.eval(store, point.proc, *instr.rhs2);
       const std::uint32_t child_proc = instr.forks.at(0);
-      result_.fork_edges[point.proc].insert(child_proc);
+      if (opts_.folding_facts) result_.fork_edges[point.proc].insert(child_proc);
 
       const N nonempty = N::cmp(hi.num, lo.num,
                                 +[](std::int64_t x, std::int64_t y) { return x >= y; });
@@ -436,6 +440,7 @@ void AbsExplorer<N>::transfer_point(const AbsControl& ctrl, const support::CowBo
   }
 
   // Attribute this action's accesses to the executing proc and statement.
+  if (!opts_.folding_facts) return;
   auto& reads = result_.reads_direct[point.proc];
   reads.insert(ev_.reads().begin(), ev_.reads().end());
   auto& writes = result_.writes_direct[point.proc];

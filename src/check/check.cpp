@@ -4,6 +4,7 @@
 #include <array>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -191,44 +192,23 @@ struct StaticFacts {
       : info(prog), par(prog, info), locks(prog, info) {}
 };
 
-/// A search for a reachable state where both statements of `c` are
-/// simultaneously enabled (for a self-race, two enabled instances).
-explore::WitnessQuery race_query(const analysis::RaceCandidate& c) {
-  explore::WitnessQuery q;
-  q.reach_predicate = [s1 = c.stmt1, s2 = c.stmt2](const sem::Configuration& cfg) {
-    int n1 = 0;
-    int n2 = 0;
-    for (const sem::ActionInfo& info : sem::all_action_infos(cfg)) {
-      if (!info.enabled || info.stmt_id == sem::kNoStmt) continue;
-      if (info.stmt_id == s1) ++n1;
-      if (info.stmt_id == s2) ++n2;
-    }
-    return s1 == s2 ? n1 >= 2 : (n1 >= 1 && n2 >= 1);
-  };
-  return q;
-}
-
-/// The race confirmer's answer: a witness confirms the race; without one,
-/// a search that exhausted the reachable space refutes it, and one cut by
-/// its budget leaves it undecided.
-struct RaceVerdict {
-  std::optional<explore::Witness> witness;
-  bool refuted = false;
-};
-
-/// The race confirmer: a directed search for `c` under `budget`
-/// configurations. Tallies the verdict and the search effort into `stats`.
-RaceVerdict confirm_race(const sem::LoweredProgram& prog, const analysis::RaceCandidate& c,
-                         std::uint64_t budget, TierStats& stats) {
-  explore::WitnessQuery q = race_query(c);
-  q.explore.max_configs = budget;
-  explore::WitnessStats ws;
-  RaceVerdict v{explore::find_witness(prog, q, &ws)};
-  v.refuted = !v.witness.has_value() && !ws.truncated;
-  stats.configs_explored += ws.configs;
-  ++(v.witness.has_value() ? stats.confirmed
-                           : (v.refuted ? stats.refuted : stats.budget_exhausted));
-  return v;
+/// One shared search over `cands`, each under `budget` configurations: a
+/// reachable state where both statements of a candidate are enabled (for a
+/// self-race, two enabled instances) is its witness. A search that runs out
+/// of space without one refutes the candidate; one cut by the budget leaves
+/// it undecided. Adds the search effort to `stats`.
+std::vector<explore::WitnessAnswer> search_races(const sem::LoweredProgram& prog,
+                                                 const explore::StaticInfo* info,
+                                                 std::span<const analysis::RaceCandidate> cands,
+                                                 std::uint64_t budget, TierStats& stats) {
+  std::vector<explore::WitnessQuery> queries(cands.size());
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    queries[i].co_enabled = {cands[i].stmt1, cands[i].stmt2};
+    queries[i].explore.max_configs = budget;
+  }
+  std::vector<explore::WitnessAnswer> answers = explore::find_witnesses(prog, queries, info);
+  for (const explore::WitnessAnswer& a : answers) stats.configs_explored += a.stats.configs;
+  return answers;
 }
 
 /// The explore tier's race list: the exact co-enabled conflicting pairs of
@@ -452,6 +432,7 @@ CheckSummary run_checks(const CompiledProgram& cp, DiagnosticEngine& engine,
   } else {
     absem::AbsOptions aopts;
     aopts.max_states = opts.abs_max_states;
+    aopts.folding_facts = false;  // check reads the may-facts only
     absem::AbsResult<absdom::Interval> abs =
         absem::AbsExplorer<absdom::Interval>(prog, aopts).run();
     sum.abstract_states = abs.num_states;
@@ -499,10 +480,10 @@ CheckSummary run_checks(const CompiledProgram& cp, DiagnosticEngine& engine,
     if (witness_budget == 0) return std::nullopt;
     --witness_budget;
     q.explore.max_configs = opts.max_configs;
-    explore::WitnessStats ws;
-    auto w = explore::find_witness(prog, q, &ws);
-    sum.stats.configs_explored += ws.configs;
-    return w;
+    explore::WitnessAnswer a =
+        std::move(explore::find_witnesses(prog, std::span(&q, 1), st ? &st->info : nullptr)[0]);
+    sum.stats.configs_explored += a.stats.configs;
+    return std::move(a.witness);
   };
 
   // Without a complete concrete pass to confirm or refute them, the
@@ -536,25 +517,38 @@ CheckSummary run_checks(const CompiledProgram& cp, DiagnosticEngine& engine,
       tier == Tier::Explore
           ? explore_races(prog, conc, sum.concrete_exhaustive, opts.abs_max_states)
           : std::move(cands.candidates);
-  for (const analysis::RaceCandidate& c : races) {
+  // One shared search answers every race query: on auto and tmod it is the
+  // confirmer, deciding each candidate under --pair-budget; on explore it
+  // finds witnesses for the first races while the witness budget lasts.
+  std::vector<explore::WitnessAnswer> searched;
+  if (decide_races) {
+    searched = search_races(prog, &st->info, races, opts.pair_budget, sum.stats);
+  } else if (tier == Tier::Explore) {
+    const std::size_t n = std::min(witness_budget, races.size());
+    witness_budget -= n;
+    searched = search_races(prog, nullptr, std::span(races).first(n), opts.max_configs,
+                            sum.stats);
+  }
+  for (std::size_t i = 0; i < races.size(); ++i) {
+    const analysis::RaceCandidate& c = races[i];
     std::optional<explore::Witness> w;
+    if (i < searched.size()) w = std::move(searched[i].witness);
     std::optional<DiagNote> note;
     if (decide_races) {
-      RaceVerdict v = confirm_race(prog, c, opts.pair_budget, sum.stats);
-      if (v.refuted) continue;
-      w = std::move(v.witness);
+      const bool exhausted = searched[i].stats.truncated;
+      ++(w.has_value() ? sum.stats.confirmed
+                       : (exhausted ? sum.stats.budget_exhausted : sum.stats.refuted));
+      if (!w.has_value() && !exhausted) continue;  // refuted
       if (!w.has_value()) {
         note = DiagNote{{}, "directed search exhausted its --pair-budget of " +
                                 std::to_string(opts.pair_budget) +
                                 " configurations without confirming or refuting; raise it "
                                 "to decide"};
       }
-    } else if (tier == Tier::Explore) {
-      w = try_witness(race_query(c));
     } else if (tier == Tier::Tmod) {
       note = DiagNote{{}, "thread-modular candidate: re-run without --no-witness (or with "
                           "--tier=auto) to confirm or refute with a directed search"};
-    } else {
+    } else if (tier == Tier::Static) {
       note = DiagNote{{}, "static-tier candidate: run --tier=auto to confirm or refute with "
                           "a directed search"};
     }

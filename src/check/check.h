@@ -18,9 +18,10 @@
 //      assertions, deadlocks; abstract may-facts it refutes are dropped.
 //      Otherwise the may-facts surface as "possible" warnings.
 //   4. One emitter per finding code reports the facts; one race confirmer
-//      (a directed witness search under --pair-budget) confirms, refutes
-//      or leaves undecided each candidate on auto, and on tmod unless
-//      --no-witness. The static tier reports candidates as-is.
+//      (a single directed witness search for all candidates, under
+//      --pair-budget per candidate) confirms, refutes or leaves undecided
+//      each candidate on auto, and on tmod unless --no-witness. The static
+//      tier reports candidates as-is.
 //
 // Concrete findings (and explore-tier races) come with witness
 // interleavings (explore/witness) while CheckOptions::max_witnesses lasts.

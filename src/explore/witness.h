@@ -5,13 +5,18 @@
 // ("detecting access anomalies or assisting debugging"); a reported fact is
 // far more useful with the schedule that exhibits it. The witness explorer
 // runs a (full or reduced) exploration that remembers one predecessor per
-// configuration and replays the action sequence on demand.
+// configuration and replays the action sequence on demand. One breadth-first
+// search answers a whole list of queries: its order depends on the program
+// and the reduction only, so each query gets exactly the answer a search of
+// its own would give.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/explore/explorer.h"
@@ -53,6 +58,11 @@ struct WitnessQuery {
   /// (null: none). Used for reachability witnesses, e.g. "a state where
   /// both statements of a racing pair are simultaneously enabled".
   std::function<bool(const sem::Configuration&)> reach_predicate;
+  /// A reachable configuration where both statements are enabled — two
+  /// enabled instances when they are equal (kNoStmt: none). Like
+  /// reach_predicate, but read off the enabled actions the search decodes
+  /// anyway: the race confirmer's query.
+  std::pair<std::uint32_t, std::uint32_t> co_enabled{sem::kNoStmt, sem::kNoStmt};
 
   WitnessSearch explore;
 };
@@ -66,8 +76,25 @@ struct WitnessStats {
   bool truncated = false;
 };
 
-/// Explores until a terminal matching the query is found; nullopt if the
-/// (possibly truncated) exploration finds none. `stats`, when non-null,
+/// One query's answer: its witness, if found, and its search effort.
+struct WitnessAnswer {
+  std::optional<Witness> witness;
+  WitnessStats stats;
+};
+
+/// Answers every query with one breadth-first search, which stops once each
+/// query is decided: matched, out of its own `max_configs`, or refuted when
+/// the space runs out. The queries must share one `explore.reduction`. A
+/// query is charged the configurations the search had visited when it was
+/// decided, so each answer equals that of find_witness on the query alone.
+/// `static_info`, when non-null, is `prog`'s StaticInfo; otherwise the
+/// search builds one.
+std::vector<WitnessAnswer> find_witnesses(const sem::LoweredProgram& prog,
+                                          std::span<const WitnessQuery> queries,
+                                          const StaticInfo* static_info = nullptr);
+
+/// Explores until a configuration matching the query is found; nullopt if
+/// the (possibly truncated) exploration finds none. `stats`, when non-null,
 /// receives the search effort and the truncation verdict.
 std::optional<Witness> find_witness(const sem::LoweredProgram& prog, const WitnessQuery& query,
                                     WitnessStats* stats = nullptr);

@@ -3,11 +3,20 @@
 // unbounded (the reason §6 exists).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/absdom/flat.h"
 #include "src/absdom/interval.h"
 #include "src/absem/absexplore.h"
 #include "src/explore/explorer.h"
 #include "src/sem/program.h"
+#include "src/workload/philosophers.h"
+#include "src/workload/random_programs.h"
 
 namespace copar::absem {
 namespace {
@@ -314,6 +323,68 @@ TEST(Absem, IntervalDomainBoundsLoopCounter) {
       }
     }
   }
+}
+
+/// check's alarm pass runs with folding_facts off. It must find exactly the
+/// facts check reads that the default pass finds, over the same states, and
+/// leave every folding-level member empty.
+TEST(AbsemLean, MatchesTheDefaultPassOnWhatCheckReads) {
+  std::vector<std::pair<std::string, std::string>> programs;
+  for (const auto& entry : std::filesystem::directory_iterator(COPAR_SAMPLES_DIR)) {
+    if (entry.path().extension() != ".cop") continue;
+    std::ifstream in(entry.path());
+    std::stringstream src;
+    src << in.rdbuf();
+    programs.emplace_back(entry.path().filename().string(), src.str());
+  }
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    programs.emplace_back("seed " + std::to_string(seed), workload::random_program(seed));
+  }
+  workload::RandomOptions wide;
+  wide.num_branches = 3;
+  wide.max_branch_stmts = 3;
+  for (std::uint64_t seed = 1000; seed < 1050; ++seed) {
+    programs.emplace_back("wide seed " + std::to_string(seed),
+                          workload::random_program(seed, wide));
+  }
+  workload::RandomOptions doall;
+  doall.use_doall = true;
+  doall.max_branch_stmts = 3;
+  for (std::uint64_t seed = 2000; seed < 2050; ++seed) {
+    programs.emplace_back("doall seed " + std::to_string(seed),
+                          workload::random_program(seed, doall));
+  }
+  for (std::size_t n = 3; n <= 5; ++n) {
+    programs.emplace_back("philosophers " + std::to_string(n), workload::dining_philosophers(n));
+  }
+
+  for (const auto& [name, source] : programs) {
+    const auto& p = compiled(source);
+    AbsOptions lean_opts;
+    lean_opts.folding_facts = false;
+    const AbsResult<Interval> full = AbsExplorer<Interval>(*p.lowered, AbsOptions{}).run();
+    const AbsResult<Interval> lean = AbsExplorer<Interval>(*p.lowered, lean_opts).run();
+    EXPECT_EQ(lean.may_faults, full.may_faults) << name;
+    EXPECT_EQ(lean.may_fail_asserts, full.may_fail_asserts) << name;
+    EXPECT_EQ(lean.uninit_reads, full.uninit_reads) << name;
+    EXPECT_EQ(lean.reached_stmts, full.reached_stmts) << name;
+    EXPECT_EQ(lean.site_sizes, full.site_sizes) << name;
+    EXPECT_EQ(lean.truncated, full.truncated) << name;
+    EXPECT_EQ(lean.num_states, full.num_states) << name;
+
+    EXPECT_TRUE(lean.mhp.empty()) << name;
+    EXPECT_TRUE(lean.point_stores.empty()) << name;
+    EXPECT_TRUE(lean.reads_direct.empty()) << name;
+    EXPECT_TRUE(lean.writes_direct.empty()) << name;
+    EXPECT_TRUE(lean.stmt_reads.empty()) << name;
+    EXPECT_TRUE(lean.stmt_writes.empty()) << name;
+    EXPECT_TRUE(lean.call_edges.empty()) << name;
+    EXPECT_TRUE(lean.fork_edges.empty()) << name;
+    EXPECT_TRUE(lean.stmt_callees.empty()) << name;
+    // The default pass does collect them, so the emptiness above is the option's.
+    EXPECT_FALSE(full.point_stores.empty()) << name;
+  }
+  EXPECT_GE(programs.size(), 11u + 300u + 3u);
 }
 
 }  // namespace

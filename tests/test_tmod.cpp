@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -55,8 +57,8 @@ std::set<StmtPair> tmod_race_pairs(const absem::TmodResult<N>& r) {
   return out;
 }
 
-/// Co-enabledness predicate for the directed refutation searches (the same
-/// query check.cpp uses for its confirm/refute pass).
+/// Co-enabledness predicate for the directed refutation searches: the
+/// condition of check.cpp's shared race search, as a per-state callback.
 std::function<bool(const sem::Configuration&)> race_reach(std::uint32_t s1,
                                                           std::uint32_t s2) {
   return [s1, s2](const sem::Configuration& cfg) {
@@ -337,8 +339,9 @@ std::string spin_program(std::size_t threads) {
 }
 
 /// The samples, the stubborn oracle's 300 random programs, and spin loops
-/// of 8, 16 and 32 threads: (name, source).
-std::vector<std::pair<std::string, std::string>> mhp_oracle_programs() {
+/// of each of `spins` threads: (name, source).
+std::vector<std::pair<std::string, std::string>> mhp_oracle_programs(
+    std::initializer_list<std::size_t> spins = {8, 16, 32}) {
   std::vector<std::pair<std::string, std::string>> out;
   for (const auto& entry : std::filesystem::directory_iterator(COPAR_SAMPLES_DIR)) {
     if (entry.path().extension() != ".cop") continue;
@@ -363,7 +366,7 @@ std::vector<std::pair<std::string, std::string>> mhp_oracle_programs() {
     out.emplace_back("doall seed " + std::to_string(seed),
                      workload::random_program(seed, doall));
   }
-  for (const std::size_t threads : {8, 16, 32}) {
+  for (const std::size_t threads : spins) {
     out.emplace_back("spin " + std::to_string(threads), spin_program(threads));
   }
   return out;
@@ -415,6 +418,72 @@ TEST(TmodStaticMhp, HookGivesTheRacesOfTheMaterializedHook) {
     EXPECT_EQ(a.races.pruned_mhp, b.races.pruned_mhp) << name;
     EXPECT_EQ(a.races.pruned_lockset, b.races.pruned_lockset) << name;
   }
+}
+
+// --- the shared race search ------------------------------------------------
+
+/// check's race confirmer answers every static-tier candidate with one
+/// breadth-first search. Each answer must be exactly what a search for that
+/// candidate alone, with a co-enabledness callback, reports: verdict,
+/// configurations charged, schedule and reached configuration.
+TEST(SharedRaceSearch, AnswersEachCandidateAsItsOwnSearch) {
+  std::size_t compared = 0;
+  std::size_t confirmed = 0;
+  std::size_t exhausted = 0;
+  std::size_t refuted = 0;
+  for (const auto& [name, source] : mhp_oracle_programs({4, 8})) {
+    const auto prog = compile(source);
+    const sem::LoweredProgram& lp = *prog->lowered;
+    const explore::StaticInfo info(lp);
+    const analysis::StaticParallelism par(lp, info);
+    const analysis::LockSets locks(lp, info);
+    const std::vector<analysis::RaceCandidate> cands =
+        analysis::race_candidates(lp, info, par, locks).candidates;
+    for (const std::uint64_t budget :
+         {std::uint64_t{2}, std::uint64_t{50}, check::CheckOptions{}.pair_budget}) {
+      std::vector<explore::WitnessQuery> queries(cands.size());
+      for (std::size_t i = 0; i < cands.size(); ++i) {
+        queries[i].co_enabled = {cands[i].stmt1, cands[i].stmt2};
+        queries[i].explore.max_configs = budget;
+      }
+      const std::vector<explore::WitnessAnswer> shared =
+          explore::find_witnesses(lp, queries, &info);
+      ASSERT_EQ(shared.size(), cands.size()) << name;
+      for (std::size_t i = 0; i < cands.size(); ++i) {
+        const analysis::RaceCandidate& c = cands[i];
+        const std::string at = name + ", budget " + std::to_string(budget) + ": " +
+                               analysis::describe_stmt(lp, c.stmt1) + " || " +
+                               analysis::describe_stmt(lp, c.stmt2);
+        explore::WitnessQuery alone;
+        alone.reach_predicate = race_reach(c.stmt1, c.stmt2);
+        alone.explore.max_configs = budget;
+        explore::WitnessStats ws;
+        const std::optional<explore::Witness> w = explore::find_witness(lp, alone, &ws);
+        const explore::WitnessAnswer& a = shared[i];
+        ++compared;
+        ++(w.has_value() ? confirmed : (ws.truncated ? exhausted : refuted));
+        EXPECT_EQ(a.witness.has_value(), w.has_value()) << at;
+        EXPECT_EQ(a.stats.truncated, ws.truncated) << at;
+        EXPECT_EQ(a.stats.configs, ws.configs) << at;
+        if (!a.witness.has_value() || !w.has_value()) continue;
+        EXPECT_EQ(a.witness->terminal.canonical_key(), w->terminal.canonical_key()) << at;
+        ASSERT_EQ(a.witness->steps.size(), w->steps.size()) << at;
+        for (std::size_t k = 0; k < w->steps.size(); ++k) {
+          const explore::WitnessStep& x = a.witness->steps[k];
+          const explore::WitnessStep& y = w->steps[k];
+          EXPECT_EQ(x.pid, y.pid) << at << ", step " << k;
+          EXPECT_EQ(x.stmt, y.stmt) << at << ", step " << k;
+          EXPECT_EQ(x.kind, y.kind) << at << ", step " << k;
+          EXPECT_EQ(x.point, y.point) << at << ", step " << k;
+        }
+      }
+    }
+  }
+  // Every verdict occurs, so the comparison covers each way a query ends.
+  EXPECT_GT(confirmed, 0u);
+  EXPECT_GT(exhausted, 0u);
+  EXPECT_GT(refuted, 0u);
+  EXPECT_GT(compared, 1000u);
 }
 
 }  // namespace

@@ -159,7 +159,7 @@ constexpr Option kCheckOptions[] = {
     {"--tier", Kind::Enum, &Opts::tier, "auto|static|explore|tmod",
      "race pipeline (default auto; docs/TIERED_CHECKING.md)"},
     {"--pair-budget", Kind::Count, &Opts::pair_budget, "N",
-     "budget of each race candidate's witness search"},
+     "per-candidate budget of the race witness search"},
     {"--max-configs", Kind::Count, &Opts::max_configs, "N",
      "configuration budget of the exploration"},
 };
