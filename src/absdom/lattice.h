@@ -18,6 +18,7 @@ namespace copar::absdom {
 template <typename D>
 concept JoinSemiLattice = requires(const D a, const D b) {
   { D::bottom() } -> std::same_as<D>;
+  { a.is_bottom() } -> std::same_as<bool>;
   { a.join(b) } -> std::same_as<D>;
   { a.leq(b) } -> std::same_as<bool>;
   { a == b } -> std::convertible_to<bool>;
@@ -29,20 +30,32 @@ concept WidenableLattice = JoinSemiLattice<D> && requires(const D a, const D b) 
 };
 
 /// Joins `delta` into `acc`; returns true if `acc` grew. The idiom of every
-/// fixpoint loop in the framework.
+/// fixpoint loop in the framework. A domain with a member
+/// `join_with(delta)` (same result, same flag) grows in place through it.
 template <JoinSemiLattice D>
 bool join_into(D& acc, const D& delta) {
-  if (delta.leq(acc)) return false;
-  acc = acc.join(delta);
-  return true;
+  if constexpr (requires { { acc.join_with(delta) } -> std::same_as<bool>; }) {
+    return acc.join_with(delta);
+  } else {
+    if (delta.leq(acc)) return false;
+    acc = acc.join(delta);
+    return true;
+  }
 }
 
-/// Widening-accelerated variant for domains with infinite chains.
+/// Widening-accelerated variant for domains with infinite chains:
+/// `acc` becomes acc.widen(acc.join(delta)) when delta ⋢ acc. A domain with
+/// a member `widen_with(delta)` (same result, same flag) grows in place
+/// through it.
 template <WidenableLattice D>
 bool widen_into(D& acc, const D& delta) {
-  if (delta.leq(acc)) return false;
-  acc = acc.widen(acc.join(delta));
-  return true;
+  if constexpr (requires { { acc.widen_with(delta) } -> std::same_as<bool>; }) {
+    return acc.widen_with(delta);
+  } else {
+    if (delta.leq(acc)) return false;
+    acc = acc.widen(acc.join(delta));
+    return true;
+  }
 }
 
 }  // namespace copar::absdom

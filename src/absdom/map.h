@@ -5,6 +5,12 @@
 // no bottom values. Lookups are binary searches; join, widen and leq are
 // linear merges of two sorted runs. Copying a store is one allocation, and
 // entries() iterates in key order exactly as an ordered map would.
+//
+// In-place update: join_with and widen_with grow a map without building a
+// new one. One pass updates the bindings both sides hold, each in place and
+// only where the delta's value is not below it; when the delta brings keys
+// this map lacks, one merge into one new array of the final size adds
+// them. The result is exactly join(delta), resp. widen(join(delta)).
 #pragma once
 
 #include <algorithm>
@@ -36,7 +42,7 @@ class MapLattice {
 
   /// Weak update: join `v` into the binding of `k`. Returns true if grew.
   bool join_at(const K& k, const V& v) {
-    if (v == V::bottom()) return false;
+    if (v.is_bottom()) return false;
     auto it = lower(*this, k);
     if (it == map_.end() || it->first != k) {
       map_.emplace(it, k, v);
@@ -49,7 +55,7 @@ class MapLattice {
   void set(const K& k, V v) {
     auto it = lower(*this, k);
     const bool found = it != map_.end() && it->first == k;
-    if (v == V::bottom()) {
+    if (v.is_bottom()) {
       if (found) map_.erase(it);
     } else if (found) {
       it->second = std::move(v);
@@ -59,22 +65,8 @@ class MapLattice {
   }
 
   [[nodiscard]] MapLattice join(const MapLattice& o) const {
-    MapLattice out;
-    out.map_.reserve(map_.size() + o.map_.size());
-    auto a = map_.begin();
-    auto b = o.map_.begin();
-    while (a != map_.end() || b != o.map_.end()) {
-      if (b == o.map_.end() || (a != map_.end() && a->first < b->first)) {
-        out.map_.push_back(*a++);
-      } else if (a == map_.end() || b->first < a->first) {
-        if (!(b->second == V::bottom())) out.map_.push_back(*b);
-        ++b;
-      } else {
-        out.map_.push_back(*a++);
-        if (!(b->second == V::bottom())) (void)join_into(out.map_.back().second, b->second);
-        ++b;
-      }
-    }
+    MapLattice out = *this;
+    (void)out.join_with(o);
     return out;
   }
 
@@ -92,11 +84,28 @@ class MapLattice {
     return out;
   }
 
+  /// In-place join: this map becomes join(delta). Returns true if it grew.
+  bool join_with(const MapLattice& delta) {
+    return merge_in(delta, [](V& v, const V& d) { return join_into(v, d); });
+  }
+
+  /// In-place widening: this map becomes widen(join(delta)) when delta is
+  /// not below it. Returns true if it grew (exactly when !delta.leq(*this)).
+  bool widen_with(const MapLattice& delta)
+    requires WidenableLattice<V>
+  {
+    return merge_in(delta, [](V& v, const V& d) { return widen_into(v, d); });
+  }
+
   [[nodiscard]] bool leq(const MapLattice& o) const {
     auto b = o.map_.begin();
     for (const auto& [k, v] : map_) {
       while (b != o.map_.end() && b->first < k) ++b;
-      if (!v.leq(b != o.map_.end() && b->first == k ? b->second : V::bottom())) return false;
+      if (b != o.map_.end() && b->first == k) {
+        if (!v.leq(b->second)) return false;
+      } else if (!v.is_bottom()) {
+        return false;
+      }
     }
     return true;
   }
@@ -127,6 +136,43 @@ class MapLattice {
   [[nodiscard]] static auto lower(Self& self, const K& k) {
     return std::lower_bound(self.map_.begin(), self.map_.end(), k,
                             [](const auto& e, const K& key) { return e.first < key; });
+  }
+
+  /// Grows this map by `delta` in place: `grow(v, d)` updates a binding
+  /// both sides hold and returns true if it grew; a key only `delta` holds
+  /// takes its delta value. New keys arrive in one merge into one array of
+  /// the final size. Returns true if anything grew.
+  template <typename Grow>
+  bool merge_in(const MapLattice& delta, Grow&& grow) {
+    bool grew = false;
+    std::size_t fresh = 0;
+    auto a = map_.begin();
+    for (const auto& [k, d] : delta.map_) {
+      if (d.is_bottom()) continue;
+      while (a != map_.end() && a->first < k) ++a;
+      if (a != map_.end() && a->first == k) {
+        if (grow(a->second, d)) grew = true;
+        ++a;
+      } else {
+        ++fresh;
+      }
+    }
+    if (fresh == 0) return grew;
+    Entries out;
+    out.reserve(map_.size() + fresh);
+    a = map_.begin();
+    for (const auto& e : delta.map_) {
+      if (e.second.is_bottom()) continue;
+      while (a != map_.end() && a->first < e.first) out.push_back(std::move(*a++));
+      if (a != map_.end() && a->first == e.first) {
+        out.push_back(std::move(*a++));  // already grown above
+      } else {
+        out.push_back(e);
+      }
+    }
+    while (a != map_.end()) out.push_back(std::move(*a++));
+    map_ = std::move(out);
+    return true;
   }
 
   Entries map_;

@@ -39,15 +39,14 @@ namespace copar::absem {
 template <NumDomain N>
 using AbsStore = absdom::MapLattice<AbsLoc, AbsValue<N>>;
 
-/// absdom::widen_into on a store behind a copy-on-write handle: the payload
-/// is cloned only when it grows while shared (say, with the snapshot of the
-/// state being transferred). Returns true if the store grew.
+/// absdom::widen_into on a store behind a copy-on-write handle. An unshared
+/// payload grows in place (MapLattice::widen_with); a shared one (say, with
+/// the snapshot of the state being transferred) is never mutated: it is
+/// cloned, and only when it grows. Returns true if the store grew.
 template <NumDomain N>
 bool widen_into(support::CowBox<AbsStore<N>>& acc, const AbsStore<N>& delta) {
-  if (delta.leq(*acc)) return false;
-  AbsStore<N>& a = acc.mut();
-  a = a.widen(a.join(delta));
-  return true;
+  if (acc.shared() && delta.leq(*acc)) return false;
+  return acc.mut().widen_with(delta);
 }
 
 template <NumDomain N>

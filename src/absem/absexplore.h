@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -270,6 +271,26 @@ class AbsExplorer {
   };
   static constexpr std::uint32_t kNoState = 0xffffffffu;
 
+  /// The store of one move's successors: either a payload already boxed
+  /// (the transferred state's own, when the move left the store as is) or
+  /// a fresh store, boxed on the first new state that keeps it. A
+  /// successor that only widens into an existing state boxes nothing, and
+  /// every new state of one move shares the one box.
+  class SuccStore {
+   public:
+    explicit SuccStore(const support::CowBox<Store>& box) : box_(box) {}
+    explicit SuccStore(Store& fresh) : fresh_(&fresh) {}
+    [[nodiscard]] const Store& get() const { return box_ ? **box_ : *fresh_; }
+    [[nodiscard]] const support::CowBox<Store>& boxed() {
+      if (!box_) box_.emplace(std::move(*fresh_));
+      return *box_;
+    }
+
+   private:
+    std::optional<support::CowBox<Store>> box_;
+    Store* fresh_ = nullptr;
+  };
+
   // --- control-state plumbing ---------------------------------------------
   static void insert_point(AbsControl& ctrl, AbsPoint p);
   [[nodiscard]] AbsControl with_point_removed(const AbsControl& ctrl, std::size_t idx) const;
@@ -282,7 +303,7 @@ class AbsExplorer {
   /// Queues every known state in AbsControl order (the global requeue).
   void requeue_all();
 
-  void enqueue(AbsControl ctrl, const support::CowBox<Store>& store);
+  void enqueue(AbsControl ctrl, SuccStore& store);
   /// Evaluates one state; `first` on its first evaluation.
   void transfer(const AbsControl& ctrl, const support::CowBox<Store>& store, bool first);
   void transfer_point(const AbsControl& ctrl, const support::CowBox<Store>& store,

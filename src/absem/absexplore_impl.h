@@ -88,7 +88,7 @@ void AbsExplorer<N>::requeue_all() {
 }
 
 template <NumDomain N>
-void AbsExplorer<N>::enqueue(AbsControl ctrl, const support::CowBox<Store>& store) {
+void AbsExplorer<N>::enqueue(AbsControl ctrl, SuccStore& store) {
   const support::Fingerprint fp = control_fingerprint(ctrl);
   std::uint32_t& slot = index_slot(ctrl, fp);
   std::uint32_t id = slot;
@@ -99,10 +99,10 @@ void AbsExplorer<N>::enqueue(AbsControl ctrl, const support::CowBox<Store>& stor
     }
     id = static_cast<std::uint32_t>(states_.size());
     slot = id;
-    states_.push_back(State{std::move(ctrl), fp, store});
+    states_.push_back(State{std::move(ctrl), fp, store.boxed()});
     if (2 * states_.size() > index_.size()) grow_index();
   } else {
-    if (!widen_into(states_[id].store, *store)) return;  // no growth
+    if (!widen_into(states_[id].store, store.get())) return;  // no growth
   }
   if (!states_[id].queued) {
     states_[id].queued = true;
@@ -122,7 +122,9 @@ AbsResult<N> AbsExplorer<N>::run() {
   entry.proc = prog_.entry_proc();
   entry.pc = ev_.settle_pc(entry.proc, 0);
   insert_point(init, entry);
-  enqueue(std::move(init), support::CowBox<Store>(ev_.initial_store()));
+  Store initial = ev_.initial_store();
+  SuccStore succ(initial);
+  enqueue(std::move(init), succ);
 
   while (const auto popped = work_.pop()) {
     State& st = states_[*popped];
@@ -236,16 +238,18 @@ void AbsExplorer<N>::transfer_point(const AbsControl& ctrl, const support::CowBo
     np.pc = ev_.settle_pc(point.proc, new_pc);
     return np;
   };
-  // Successors of one move share one store payload; emit_same hands on
-  // the transferred state's own payload (the action left the store as is).
-  auto emit_box = [&](const std::vector<AbsPoint>& new_points,
-                      const support::CowBox<Store>& new_store) {
+  // Successors of one move share one store payload (see SuccStore);
+  // emit_same hands on the transferred state's own payload (the action
+  // left the store as is).
+  auto emit_succ = [&](const std::vector<AbsPoint>& new_points, SuccStore new_store) {
     for (AbsControl succ : move_to(new_points)) enqueue(std::move(succ), new_store);
   };
   auto emit = [&](const std::vector<AbsPoint>& new_points, Store new_store) {
-    emit_box(new_points, support::CowBox<Store>(std::move(new_store)));
+    emit_succ(new_points, SuccStore(new_store));
   };
-  auto emit_same = [&](const std::vector<AbsPoint>& new_points) { emit_box(new_points, box); };
+  auto emit_same = [&](const std::vector<AbsPoint>& new_points) {
+    emit_succ(new_points, SuccStore(box));
+  };
 
   switch (instr.op) {
     case sem::Op::Call: {

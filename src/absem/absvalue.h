@@ -85,6 +85,16 @@ struct AbsValue {
     out.fns = fns.join(o.fns);
     return out;
   }
+  /// In-place join: this value becomes join(o). Returns true if it grew.
+  /// Allocates only when o's points-to or closure set brings new elements.
+  bool join_with(const AbsValue& o) {
+    return grow_with(o, [](N& a, const N& b) { return absdom::join_into(a, b); });
+  }
+  /// In-place widening: this value becomes widen(join(o)) when o is not
+  /// below it. Returns true if it grew (exactly when !o.leq(*this)).
+  bool widen_with(const AbsValue& o) {
+    return grow_with(o, [](N& a, const N& b) { return absdom::widen_into(a, b); });
+  }
   /// Narrowing (widened.narrow(next) with next ⊑ widened): refine the
   /// numeric component when the domain supports it; the finite-height
   /// components keep the widened (= joined) value.
@@ -113,6 +123,21 @@ struct AbsValue {
     if (!ptrs.is_bottom()) out += "|" + ptrs.to_string();
     if (!fns.is_bottom()) out += "|fns" + fns.to_string();
     return out;
+  }
+
+ private:
+  /// Grows each component by o's: the numeric one through `grow_num`
+  /// (join_into or widen_into), the finite-height ones by join.
+  template <typename GrowNum>
+  bool grow_with(const AbsValue& o, GrowNum&& grow_num) {
+    bool grew = grow_num(num, o.num);
+    if (o.may_null && !may_null) {
+      may_null = true;
+      grew = true;
+    }
+    if (ptrs.join_with(o.ptrs)) grew = true;
+    if (fns.join_with(o.fns)) grew = true;
+    return grew;
   }
 };
 

@@ -27,9 +27,17 @@
 // Calls, returns and forks are this file's: context-insensitive return
 // sites, and forks seed the child thread's entry store.
 //
-// Determinism: thread roots, worklists, and every recorded container are
-// std::map/std::set ordered by (proc, pc, stmt, loc) keys — reports are
-// byte-reproducible across runs and platforms.
+// Per-point stores are dense: a thread's slots for a proc (one per pc) are
+// allocated when the thread first touches that proc, so memory follows the
+// points each thread reaches. The worklist is a flag per slot plus a cursor
+// below which nothing is queued; it pops in ascending (proc, pc) order, so
+// every widening happens in the same order as with an ordered set.
+// Successor stores move into fresh slots and widen in place into reached
+// ones (MapLattice::widen_with).
+//
+// Determinism: thread roots, worklist order, and every recorded container
+// are ordered by (proc, pc, stmt, loc) keys — reports are byte-reproducible
+// across runs and platforms.
 #include "src/absem/tmod.h"
 
 #include <algorithm>
@@ -65,11 +73,24 @@ class ThreadModular {
     friend auto operator<=>(const Cont&, const Cont&) = default;
   };
 
+  /// One point of a thread: the abstract store on entry and its worklist
+  /// flag.
+  struct Slot {
+    Store store;
+    bool reached = false;  // some store has arrived
+    bool queued = false;
+  };
+  /// The slots of one proc, by pc.
+  struct ProcSlots {
+    std::uint32_t proc = 0;
+    std::vector<Slot> at;
+  };
+
   /// Per-thread analysis state, accumulated monotonically across rounds.
   struct ThreadState {
-    /// Abstract store on entry to each point, behind a copy-on-write
-    /// handle: the per-transfer snapshot is a handle copy.
-    std::map<Point, support::CowBox<Store>> states;
+    /// Ascending by proc id; a proc's slots are added (sized to its code)
+    /// when the thread first touches it. Slots never move once made.
+    std::vector<ProcSlots> procs;
     std::map<std::uint32_t, std::set<Cont>> conts;  // callee -> return sites
     Interference<N> guarantee;      // this thread's abstract writes
   };
@@ -78,18 +99,75 @@ class ThreadModular {
     return opts_.self_parallel ? opts_.self_parallel(root) : true;
   }
 
-  void propagate(Point pt, const Store& store) {
-    auto [it, fresh] = cur_ts_->states.try_emplace(pt, store);
-    if (!fresh && !widen_into(it->second, store)) return;
+  /// The first of the current thread's procs whose id is not below `proc`.
+  [[nodiscard]] typename std::vector<ProcSlots>::iterator lower_proc(std::uint32_t proc) {
+    auto& procs = cur_ts_->procs;
+    return std::lower_bound(procs.begin(), procs.end(), proc,
+                            [](const ProcSlots& p, std::uint32_t id) { return p.proc < id; });
+  }
+
+  /// The current thread's slot of `pt`, its proc's slots made on first touch.
+  Slot& slot(Point pt) {
+    auto it = lower_proc(pt.first);
+    if (it == cur_ts_->procs.end() || it->proc != pt.first) {
+      it = cur_ts_->procs.insert(
+          it, ProcSlots{pt.first, std::vector<Slot>(prog_.proc(pt.first).code.size())});
+    }
+    return it->at.at(pt.second);
+  }
+
+  void push(Point pt, Slot& s) {
+    if (s.queued) return;
+    s.queued = true;
+    ++queued_;
+    cursor_ = std::min(cursor_, pt);
+  }
+
+  /// Pops the least queued point of the current thread into `pt` and
+  /// returns its slot; null when none is queued. Nothing is queued below
+  /// cursor_.
+  Slot* pop(Point& pt) {
+    if (queued_ == 0) return nullptr;
+    for (auto it = lower_proc(cursor_.first); it != cur_ts_->procs.end(); ++it) {
+      for (std::uint32_t pc = it->proc == cursor_.first ? cursor_.second : 0;
+           pc < it->at.size(); ++pc) {
+        Slot& s = it->at[pc];
+        if (!s.queued) continue;
+        s.queued = false;
+        --queued_;
+        cursor_ = pt = {it->proc, pc};
+        return &s;
+      }
+    }
+    throw Error("tmod worklist: queued point not found");
+  }
+
+  /// Widens `store` into the entry store of `pt` (moved in when `pt` is
+  /// first reached) and queues `pt` if it grew. A store for the point being
+  /// transferred waits in self_ until its transfer ends, which still reads
+  /// the slot's store.
+  template <typename S>
+  void propagate(Point pt, S&& store) {
+    if (pt == cur_pt_) {
+      self_.emplace_back(std::forward<S>(store));
+      return;
+    }
+    Slot& s = slot(pt);
+    if (!s.reached) {
+      s.store = std::forward<S>(store);
+      s.reached = true;
+    } else if (!absdom::widen_into(s.store, store)) {
+      return;
+    }
     grew_ = true;
-    worklist_.insert(pt);
+    push(pt, s);
   }
 
   /// Joins `store` into a forked proc's seed (widened across rounds); the
   /// report pass runs on the converged seeds and never grows them.
   void seed_child(std::uint32_t child, const Store& store) {
     if (ev_.recording) return;
-    auto [it, fresh] = seeds_.emplace(child, store);
+    auto [it, fresh] = seeds_.try_emplace(child, store);
     if (fresh || absdom::widen_into(it->second, store)) {
       grew_ = true;
       dirty_.insert(child);
@@ -128,9 +206,15 @@ class ThreadModular {
       access_masks_;
 
   // --- state of the analysis currently in flight ---------------------------
+  static constexpr Point kNoPoint{0xffffffffu, 0xffffffffu};
   ThreadState* cur_ts_ = nullptr;
   std::uint32_t cur_thread_ = 0;
-  std::set<Point> worklist_;
+  /// Queued slots of cur_ts_, and a point no queued one is below.
+  std::uint64_t queued_ = 0;
+  Point cursor_{0, 0};
+  /// The point being transferred, and the stores it propagates to itself.
+  Point cur_pt_ = kNoPoint;
+  std::vector<Store> self_;
   std::uint64_t cur_mask_ = 0;
   /// Anything but a guarantee grew (states, seeds, relies); the evaluator
   /// flags guarantee growth. Together: the convergence test.
@@ -145,19 +229,25 @@ void ThreadModular<N>::analyze(std::uint32_t root, ThreadState& ts,
   cur_thread_ = root;
   ev_.rely = &rely;
   ev_.guarantee = &ts.guarantee;
-  worklist_.clear();
+  queued_ = 0;
+  cursor_ = {0, 0};
   const bool entry_called = ts.conts.contains(prog_.entry_proc());
   // Re-evaluate every known point: a grown rely can change any transfer
   // that reads shared state. Monotone, so this terminates.
-  for (const auto& [pt, st] : ts.states) worklist_.insert(pt);
+  for (ProcSlots& ps : ts.procs) {
+    for (std::uint32_t pc = 0; pc < ps.at.size(); ++pc) {
+      if (ps.at[pc].reached) push({ps.proc, pc}, ps.at[pc]);
+    }
+  }
   propagate({root, ev_.settle_pc(root, 0)}, seed);
-  while (!worklist_.empty()) {
-    const Point pt = *worklist_.begin();
-    worklist_.erase(worklist_.begin());
-    const auto it = ts.states.find(pt);
-    if (it == ts.states.end()) continue;
-    const support::CowBox<Store> snapshot = it->second;  // handle copy
-    transfer(pt, *snapshot);
+  Point pt;
+  while (const Slot* s = pop(pt)) {
+    if (!s->reached) continue;
+    cur_pt_ = pt;
+    transfer(pt, s->store);
+    cur_pt_ = kNoPoint;
+    for (Store& own : self_) propagate(pt, std::move(own));
+    self_.clear();
     ++evals_;
   }
   // Points evaluated before the first call to the entry proc refined its
@@ -177,8 +267,8 @@ void ThreadModular<N>::transfer(Point pt, const Store& store) {
   const bool record = ev_.recording && ev_.stmt() != AbsEval<N>::kNoCtx;
   if (record) result_.reached_stmts.insert(ev_.stmt());
 
-  auto advance = [&](std::uint32_t new_pc, const Store& s) {
-    propagate({proc_id, ev_.settle_pc(proc_id, new_pc)}, s);
+  auto advance = [&](std::uint32_t new_pc, auto&& s) {
+    propagate({proc_id, ev_.settle_pc(proc_id, new_pc)}, std::forward<decltype(s)>(s));
   };
 
   switch (instr.op) {
@@ -206,7 +296,7 @@ void ThreadModular<N>::transfer(Point pt, const Store& store) {
           // requeue them (transfer skips points with no state yet).
           for (std::uint32_t p2 = 0; p2 < target.code.size(); ++p2) {
             const sem::Op op2 = target.code[p2].op;
-            if (op2 == sem::Op::Return || op2 == sem::Op::Halt) worklist_.insert({f, p2});
+            if (op2 == sem::Op::Return || op2 == sem::Op::Halt) push({f, p2}, slot({f, p2}));
           }
         }
         Store s2 = s;
@@ -300,10 +390,10 @@ std::vector<Interference<N>> ThreadModular<N>::raw_relies(
   Interference<N> prefix;  // the join of gs[..i)
   std::size_t i = 0;
   for (const std::uint32_t r : roots) {
-    for (; i < gs.size() && gs[i].first < r; ++i) prefix = prefix.join(*gs[i].second);
+    for (; i < gs.size() && gs[i].first < r; ++i) (void)prefix.join_with(*gs[i].second);
     const bool own = i < gs.size() && gs[i].first == r;
     Interference<N> raw = prefix.join(suffix[own ? i + 1 : i]);
-    if (own && self_par(r)) raw = raw.join(*gs[i].second);
+    if (own && self_par(r)) (void)raw.join_with(*gs[i].second);
     out.push_back(std::move(raw));
   }
   return out;

@@ -46,10 +46,13 @@ class CowBox {
     return p_->find(k) != p_->end();
   }
 
+  /// True if another handle shares the payload (mut() would clone it).
+  [[nodiscard]] bool shared() const noexcept { return p_.use_count() != 1; }
+
   /// Mutable access; clones the payload iff it is shared. See the file
   /// header for why the use_count() test is sound.
   [[nodiscard]] T& mut() {
-    if (p_.use_count() != 1) p_ = std::make_shared<T>(*p_);
+    if (shared()) p_ = std::make_shared<T>(*p_);
     return *p_;
   }
 

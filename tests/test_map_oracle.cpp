@@ -5,12 +5,20 @@
 // entries() — over seeded random operation sequences, for plain interval
 // maps and for abstract stores whose values carry points-to and closure
 // sets.
+//
+// The in-place updates get an oracle of their own: over random pairs of
+// abstract stores (interval and flat-constant values) and of abstract
+// values, join_into and widen_into must give the flag !delta.leq(acc) and
+// exactly acc.join(delta), resp. acc.widen(acc.join(delta)), computed here
+// from the value-returning join and widen; and the copy-on-write overload
+// must never mutate a payload another handle shares.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <random>
 #include <vector>
 
+#include "src/absdom/flat.h"
 #include "src/absdom/interval.h"
 #include "src/absdom/map.h"
 #include "src/absem/abseval.h"
@@ -107,10 +115,21 @@ absem::AbsLoc random_key(Rng& rng, absem::AbsLoc*) {
   }
 }
 
-absem::AbsValue<Interval> random_value(Rng& rng, absem::AbsValue<Interval>*) {
-  absem::AbsValue<Interval> v;
+Interval random_num(Rng& rng, Interval*) { return random_interval(rng); }
+
+FlatInt random_num(Rng& rng, FlatInt*) {
+  switch (pick(rng, 5)) {
+    case 0: return FlatInt::bottom();
+    case 1: return FlatInt::top();
+    default: return FlatInt::constant(static_cast<std::int64_t>(pick(rng, 3)));
+  }
+}
+
+template <absem::NumDomain N>
+absem::AbsValue<N> random_value(Rng& rng, absem::AbsValue<N>*) {
+  absem::AbsValue<N> v;
   if (pick(rng, 4) == 0) return v;  // bottom
-  v.num = random_interval(rng);
+  v.num = random_num(rng, static_cast<N*>(nullptr));
   v.may_null = pick(rng, 4) == 0;
   for (std::size_t n = pick(rng, 3); n > 0; --n) {
     v.ptrs.insert(random_key(rng, static_cast<absem::AbsLoc*>(nullptr)));
@@ -230,6 +249,151 @@ TEST(MapLatticeOracle, LeqSeesKeysAbsentFromTheOtherSide) {
   big.join_at(2, Interval::constant(0));
   EXPECT_TRUE(small.leq(big));
   EXPECT_FALSE(big.leq(small));
+}
+
+// ---- In-place join and widening -------------------------------------------
+
+/// acc.join(delta) as an ordered map, from the value-returning join only.
+template <typename K, typename V>
+std::map<K, V> ref_join(const MapLattice<K, V>& acc, const MapLattice<K, V>& delta) {
+  std::map<K, V> out(acc.entries().begin(), acc.entries().end());
+  for (const auto& [k, d] : delta.entries()) {
+    if (d.is_bottom()) continue;
+    auto [it, fresh] = out.emplace(k, d);
+    if (!fresh) it->second = it->second.join(d);
+  }
+  return out;
+}
+
+/// acc.widen(acc.join(delta)) as an ordered map, from the value-returning
+/// join and widen only.
+template <typename K, typename V>
+std::map<K, V> ref_widen_of_join(const MapLattice<K, V>& acc, const MapLattice<K, V>& delta) {
+  std::map<K, V> out = ref_join(acc, delta);
+  for (const auto& [k, a] : acc.entries()) out.at(k) = a.widen(out.at(k));
+  return out;
+}
+
+/// delta ⊑ acc, binding by binding.
+template <typename K, typename V>
+bool ref_leq(const MapLattice<K, V>& delta, const MapLattice<K, V>& acc) {
+  return std::all_of(delta.entries().begin(), delta.entries().end(),
+                     [&](const auto& e) { return e.second.leq(acc.get(e.first)); });
+}
+
+template <typename K, typename V>
+bool same_map(const std::map<K, V>& ref, const MapLattice<K, V>& flat) {
+  return std::equal(ref.begin(), ref.end(), flat.entries().begin(), flat.entries().end(),
+                    [](const auto& r, const auto& f) {
+                      return r.first == f.first && r.second == f.second;
+                    });
+}
+
+/// A random map of up to 8 bindings. Bottom values are drawn too; set and
+/// join_at drop them (a map holds no bottom binding), so they act as keys
+/// the map lacks, and a bottom set() erases a key.
+template <typename K, typename V>
+MapLattice<K, V> random_map(Rng& rng) {
+  MapLattice<K, V> m;
+  for (std::size_t n = pick(rng, 9); n > 0; --n) {
+    const K k = random_key(rng, static_cast<K*>(nullptr));
+    const V v = random_value(rng, static_cast<V*>(nullptr));
+    if (pick(rng, 3) == 0) {
+      m.set(k, v);
+    } else {
+      m.join_at(k, v);
+    }
+  }
+  return m;
+}
+
+template <absem::NumDomain N>
+void run_in_place_oracle(std::uint64_t seed, int pairs) {
+  using Store = absem::AbsStore<N>;
+  Rng rng(seed);
+  int fresh_keys = 0;
+  for (int p = 0; p < pairs; ++p) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " pair " << p);
+    const Store acc = random_map<absem::AbsLoc, absem::AbsValue<N>>(rng);
+    // Half the deltas grow out of acc, so most bindings meet an existing key.
+    Store delta = random_map<absem::AbsLoc, absem::AbsValue<N>>(rng);
+    if (pick(rng, 2) == 0) delta = acc.join(delta);
+    const bool grows = !ref_leq(delta, acc);
+    for (const auto& e : delta.entries()) {
+      if (acc.get(e.first).is_bottom()) ++fresh_keys;
+    }
+
+    Store joined = acc;
+    ASSERT_EQ(grows, join_into(joined, delta));
+    ASSERT_TRUE(same_map(ref_join(acc, delta), joined)) << joined.to_string();
+
+    Store widened = acc;
+    ASSERT_EQ(grows, widen_into(widened, delta));
+    ASSERT_TRUE(same_map(grows ? ref_widen_of_join(acc, delta)
+                               : std::map<absem::AbsLoc, absem::AbsValue<N>>(
+                                     acc.entries().begin(), acc.entries().end()),
+                         widened))
+        << widened.to_string();
+
+    // Behind a copy-on-write handle: a payload another handle shares is
+    // never written, and is not cloned when nothing grows.
+    support::CowBox<Store> box(acc);
+    const support::CowBox<Store> other = box;
+    ASSERT_EQ(grows, absem::widen_into(box, delta));
+    ASSERT_TRUE(*other == acc);
+    ASSERT_TRUE(*box == widened);
+    ASSERT_EQ(&*box == &*other, !grows);
+    // An unshared payload grows in place.
+    support::CowBox<Store> own(acc);
+    const Store* const payload = &*own;
+    ASSERT_EQ(grows, absem::widen_into(own, delta));
+    ASSERT_EQ(payload, &*own);
+    ASSERT_TRUE(*own == widened);
+  }
+  EXPECT_GT(fresh_keys, 0) << "no delta brought a key its accumulator lacks";
+}
+
+TEST(InPlaceWidening, IntervalStoresMatchWidenOfJoin) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    run_in_place_oracle<Interval>(seed, 200);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(InPlaceWidening, FlatStoresMatchWidenOfJoin) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    run_in_place_oracle<FlatInt>(seed, 200);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// The value level alone: AbsValue's in-place join and widening against
+/// its value-returning join and widen.
+template <absem::NumDomain N>
+void run_value_oracle(std::uint64_t seed, int pairs) {
+  using Value = absem::AbsValue<N>;
+  Rng rng(seed);
+  for (int p = 0; p < pairs; ++p) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " pair " << p);
+    const Value a = random_value(rng, static_cast<Value*>(nullptr));
+    Value d = random_value(rng, static_cast<Value*>(nullptr));
+    if (pick(rng, 3) == 0) d = a.join(d).join(a);
+    const bool grows = !d.leq(a);
+    Value joined = a;
+    ASSERT_EQ(grows, join_into(joined, d));
+    ASSERT_TRUE(joined == (grows ? a.join(d) : a)) << joined.to_string();
+    Value widened = a;
+    ASSERT_EQ(grows, widen_into(widened, d));
+    ASSERT_TRUE(widened == (grows ? a.widen(a.join(d)) : a)) << widened.to_string();
+  }
+}
+
+TEST(InPlaceWidening, AbstractValuesMatchWidenOfJoin) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    run_value_oracle<Interval>(seed, 200);
+    run_value_oracle<FlatInt>(seed, 200);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 }  // namespace
